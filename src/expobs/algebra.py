@@ -11,7 +11,6 @@ from fractions import Fraction
 from .errors import DomainMismatch, NonConvergent, NotAConjugacy
 from .exact import INF, ExtScalar, GaussianRational, format_extended
 from .model import FiniteSystem, Observable, check_domain
-from .parallel import indexed_map
 from .relations import (
     OrbitDistanceTable,
     delta_star,
@@ -108,9 +107,7 @@ def _ext_ge(a: ExtScalar, b: ExtScalar) -> bool:
     return a >= b
 
 
-def law_suite(
-    system: FiniteSystem, trials: int, seed: int, workers: int = 1
-) -> LawReport:
+def law_suite(system: FiniteSystem, trials: int, seed: int) -> LawReport:
     """Check the subalgebra laws of delta-star on random observable triples.
 
     Laws checked per trial (d* = delta_star):
@@ -121,33 +118,30 @@ def law_suite(
     """
     rng = random.Random(seed)
     table = orbit_distance_table(system)
-    batches = [
-        (t, random_observable(rng, system), random_observable(rng, system), random_scalar(rng))
-        for t in range(trials)
-    ]
-
-    def run(batch):
-        t, phi, psi, lam = batch
-        out = []
-        notes = []
+    violations = []
+    notes = []
+    for t in range(trials):
+        phi = random_observable(rng, system)
+        psi = random_observable(rng, system)
+        lam = random_scalar(rng)
         d_phi = delta_star(system, phi, table)
         d_psi = delta_star(system, psi, table)
         floor = _ext_min(d_phi, d_psi)
         d_sum = delta_star(system, obs_add(phi, psi), table)
         if not _ext_ge(d_sum, floor):
-            out.append(LawViolation(t, "sum", f"{format_extended(d_sum)} < {format_extended(floor)}"))
+            violations.append(LawViolation(t, "sum", f"{format_extended(d_sum)} < {format_extended(floor)}"))
         d_prod = delta_star(system, obs_mul(phi, psi), table)
         if not _ext_ge(d_prod, floor):
-            out.append(LawViolation(t, "product", f"{format_extended(d_prod)} < {format_extended(floor)}"))
+            violations.append(LawViolation(t, "product", f"{format_extended(d_prod)} < {format_extended(floor)}"))
         d_scale = delta_star(system, obs_scale(lam, phi), table)
         if lam.is_zero():
             if d_scale is not INF:
-                out.append(LawViolation(t, "scale-zero", format_extended(d_scale)))
+                violations.append(LawViolation(t, "scale-zero", format_extended(d_scale)))
         elif d_scale != d_phi:
-            out.append(LawViolation(t, "scale", f"{format_extended(d_scale)} != {format_extended(d_phi)}"))
+            violations.append(LawViolation(t, "scale", f"{format_extended(d_scale)} != {format_extended(d_phi)}"))
         d_conj = delta_star(system, obs_conjugate(phi), table)
         if d_conj != d_phi:
-            out.append(LawViolation(t, "conjugate", f"{format_extended(d_conj)} != {format_extended(d_phi)}"))
+            violations.append(LawViolation(t, "conjugate", f"{format_extended(d_conj)} != {format_extended(d_phi)}"))
         s_phi = sigma_star(system, phi)
         s_psi = sigma_star(system, psi)
         s_sum = sigma_star(system, obs_add(phi, psi))
@@ -160,17 +154,12 @@ def law_suite(
                     f"min = {format_extended(_ext_min(s_phi, s_psi))}",
                 )
             )
-        return out, notes
-
-    results = indexed_map(run, batches, workers)
-    violations = tuple(v for out, _ in results for v in out)
-    notes = tuple(n for _, ns in results for n in ns)
     return LawReport(
         seed=seed,
         trials=trials,
         checks=trials * 5,
-        violations=violations,
-        sigma_sum_notes=notes,
+        violations=tuple(violations),
+        sigma_sum_notes=tuple(notes),
     )
 
 

@@ -31,7 +31,12 @@ from .errors import AllFixed, ExpobsError, NotRigid, NoWanderingInterval
 from .exact import format_rational, parse_rational
 from .model import parse_observable, parse_system
 from .relations import delta_star, indistinguishability_quotient, sigma_star
-from .report import analyze, law_report_document, render_report
+from .report import (
+    DEFAULT_PERIODIC_LEVELS,
+    analyze,
+    law_report_document,
+    render_report,
+)
 from .shift import (
     check_ball_inclusion,
     find_asymptotic_pair,
@@ -88,15 +93,18 @@ def _cmd_analyze(args) -> int:
         parse_observable(_load_document(doc), system) for doc in args.observable
     )
     thresholds = _fractions(args.threshold) if args.threshold else None
-    levels = tuple(int(k) for k in args.levels.split(",")) if args.levels else None
+    levels = (
+        tuple(int(k) for k in args.levels.split(","))
+        if args.levels
+        else DEFAULT_PERIODIC_LEVELS
+    )
     report = analyze(
         system,
         observables,
         resolution=parse_rational(args.resolution) if args.resolution else None,
         thresholds=thresholds,
-        periodic_levels=levels if levels else (1, 2, 3, 4, 5, 6),
+        periodic_levels=levels,
         seed=args.seed,
-        workers=args.workers,
     )
     _emit(render_report(report), args.out)
     return EXIT_OK
@@ -107,9 +115,7 @@ def _cmd_dstar(args) -> int:
     phi = parse_observable(_load_document(args.observable), system)
     doc = {
         "delta_star": format_extended(delta_star(system, phi)),
-        "sigma_star_sq": format_extended(
-            sigma_star(system, phi, workers=args.workers)
-        ),
+        "sigma_star_sq": format_extended(sigma_star(system, phi)),
     }
     _emit_doc(doc, args.out)
     return EXIT_OK
@@ -129,7 +135,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_laws(args) -> int:
     system = parse_system(_load_document(args.system))
-    report = law_suite(system, trials=args.trials, seed=args.seed, workers=args.workers)
+    report = law_suite(system, trials=args.trials, seed=args.seed)
     _emit_doc(law_report_document(report), args.out)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -214,12 +220,7 @@ def _cmd_symbolic(args) -> int:
         x = parse_point(_load_document(args.point), alphabet)
         phi = parse_cylinder_observable(_load_document(args.observable))
         report = check_ball_inclusion(
-            x,
-            phi,
-            parse_rational(args.epsilon),
-            args.side,
-            args.bound,
-            workers=args.workers,
+            x, phi, parse_rational(args.epsilon), args.side, args.bound
         )
         doc = {
             "requested_epsilon": format_rational(report.requested_eps),
@@ -338,13 +339,6 @@ def _add_out(parser) -> None:
     parser.add_argument("--out", help="write the report to a file instead of stdout")
 
 
-def _add_workers(parser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker threads (results are identical for any value)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expobs",
@@ -360,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", action="append", default=[])
     p.add_argument("--levels", help="comma-separated periodic levels, e.g. 1,2,3")
     p.add_argument("--seed", type=int, default=None)
-    _add_workers(p)
     _add_out(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = commands.add_parser("dstar", help="optimal expansivity constants of one observable")
     p.add_argument("--system", required=True)
     p.add_argument("--observable", required=True)
-    _add_workers(p)
     _add_out(p)
     p.set_defaults(func=_cmd_dstar)
 
@@ -381,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    _add_workers(p)
     _add_out(p)
     p.set_defaults(func=_cmd_laws)
 
@@ -431,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--side", choices=("s", "u"), default="s")
     sp.add_argument("--bound", type=int, default=8)
     sp.add_argument("--alphabet", required=True)
-    _add_workers(sp)
     _add_out(sp)
     sp.set_defaults(func=_cmd_symbolic)
     sp = sym.add_parser("asymptotic-pair", help="smallest stably equivalent pair")

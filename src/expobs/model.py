@@ -137,10 +137,10 @@ def parse_system(document) -> FiniteSystem:
         if key not in doc:
             raise InvalidDocument(f"system document lacks {key!r}")
     points = doc["points"]
-    if not isinstance(points, list):
-        raise InvalidDocument("'points' must be a list")
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise InvalidDocument("'points' must be a list of strings")
     metric = doc["metric"]
-    if not isinstance(metric, list):
+    if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
         raise InvalidDocument("'metric' must be a list of rows")
     rows = [[parse_rational(v) for v in row] for row in metric]
     if not isinstance(doc["map"], dict):

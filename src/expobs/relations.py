@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import DegenerateSpace, DomainMismatch
 from .exact import INF, ExtScalar, GaussianRational
 from .model import FiniteSystem, Observable, check_domain
-from .parallel import indexed_map
 
 
 def pair_cycles(system: FiniteSystem) -> list:
@@ -49,24 +48,6 @@ def pair_cycles(system: FiniteSystem) -> list:
     return cycles
 
 
-def _cycle_table(system: FiniteSystem, pair_value, workers: int = 1):
-    """n x n table whose (x, y) entry is max of pair_value over the pair-cycle."""
-    n = system.n
-    cycles = pair_cycles(system)
-    maxima = indexed_map(
-        lambda cyc: max(pair_value(i, j) for i, j in cyc), cycles, workers
-    )
-    table = [[None] * n for _ in range(n)]
-    zero = Fraction(0)
-    for i in range(n):
-        table[i][i] = zero
-    for cyc, m in zip(cycles, maxima):
-        for i, j in cyc:
-            table[i][j] = m
-            table[j][i] = m
-    return tuple(tuple(row) for row in table)
-
-
 @dataclass(frozen=True)
 class OrbitDistanceTable:
     """Cached orbit sup-distances of a system, indexed like its metric."""
@@ -78,46 +59,44 @@ class OrbitDistanceTable:
         return self.values[self.system.index(x)][self.system.index(y)]
 
 
-def orbit_distance_table(system: FiniteSystem, workers: int = 1) -> OrbitDistanceTable:
-    metric = system.metric
-    values = _cycle_table(system, lambda i, j: metric[i][j], workers)
-    return OrbitDistanceTable(system, values)
+def orbit_distance_table(system: FiniteSystem) -> OrbitDistanceTable:
+    """n x n table whose (x, y) entry is the metric maximum over the pair-cycle."""
+    n, metric = system.n, system.metric
+    table = [[None] * n for _ in range(n)]
+    zero = Fraction(0)
+    for i in range(n):
+        table[i][i] = zero
+    for cycle in pair_cycles(system):
+        m = max(metric[i][j] for i, j in cycle)
+        for i, j in cycle:
+            table[i][j] = m
+            table[j][i] = m
+    return OrbitDistanceTable(system, tuple(tuple(row) for row in table))
+
+
+def _pair_orbit(system: FiniteSystem, x, y):
+    """Distances d(f^n x, f^n y) along the pair-cycle of (x, y); just 0 if x == y."""
+    i0, j0 = system.index(x), system.index(y)
+    if i0 == j0:
+        yield Fraction(0)
+        return
+    perm, metric = system.perm, system.metric
+    a, b = i0, j0
+    while True:
+        yield metric[a][b]
+        a, b = perm[a], perm[b]
+        if (a, b) == (i0, j0):
+            return
 
 
 def pair_orbit_sup(system: FiniteSystem, x, y) -> Fraction:
     """D(x, y) for a single pair, by walking its own pair-cycle."""
-    i0, j0 = system.index(x), system.index(y)
-    if i0 == j0:
-        return Fraction(0)
-    perm, metric = system.perm, system.metric
-    a, b = i0, j0
-    best = Fraction(0)
-    while True:
-        d = metric[a][b]
-        if d > best:
-            best = d
-        a, b = perm[a], perm[b]
-        if (a, b) == (i0, j0):
-            break
-    return best
+    return max(_pair_orbit(system, x, y))
 
 
 def min_pair_distance(system: FiniteSystem, x, y) -> Fraction:
     """min_n d(f^n x, f^n y); positive for distinct points of a finite system."""
-    i0, j0 = system.index(x), system.index(y)
-    if i0 == j0:
-        return Fraction(0)
-    perm, metric = system.perm, system.metric
-    a, b = i0, j0
-    best = None
-    while True:
-        d = metric[a][b]
-        if best is None or d < best:
-            best = d
-        a, b = perm[a], perm[b]
-        if (a, b) == (i0, j0):
-            break
-    return best
+    return min(_pair_orbit(system, x, y))
 
 
 def e_star(system: FiniteSystem, table: OrbitDistanceTable = None) -> Fraction:
@@ -150,26 +129,22 @@ def delta_star(system: FiniteSystem, phi: Observable, table: OrbitDistanceTable 
     return best
 
 
-def sigma_star(system: FiniteSystem, phi: Observable, workers: int = 1) -> ExtScalar:
+def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     """Strong expansivity constant, reported as a squared modulus.
 
     min over phi-separated pairs of max_n |phi(f^n x) - phi(f^n y)|^2.
     Squared moduli keep Gaussian-rational magnitudes inside the rationals;
-    compare against other squared quantities only.
+    compare against other squared quantities only.  Every pair of a pair-cycle
+    shares the cycle maximum, and a cycle holds a phi-separated pair exactly
+    when that maximum is positive, so the minimum runs over cycles.
     """
     check_domain(system, phi)
     vals = [phi[p] for p in system.points]
-
-    def orbit_osc_sq(i, j):
-        return (vals[i] - vals[j]).abs_sq()
-
-    table = _cycle_table(system, orbit_osc_sq, workers)
-    best: ExtScalar = INF
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if vals[i] != vals[j] and table[i][j] < best:
-                best = table[i][j]
-    return best
+    maxima = (
+        max((vals[i] - vals[j]).abs_sq() for i, j in cycle)
+        for cycle in pair_cycles(system)
+    )
+    return min((m for m in maxima if m > 0), default=INF)
 
 
 def omega_map(system: FiniteSystem, t: Fraction, table: OrbitDistanceTable = None) -> Fraction:

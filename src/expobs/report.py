@@ -3,8 +3,8 @@
 A report embeds its own inputs (system, observables, thresholds, resolution)
 next to every derived number, so replaying any single quantity on the
 embedded inputs must reproduce the embedded value exactly.  All scalars are
-serialized as exact rational text; key order is fixed at construction, and
-worker count never changes a byte.
+serialized as exact rational text and key order is fixed at construction, so
+a report's bytes do not depend on the interpreter run or its hash seed.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def analyze(
     thresholds=None,
     periodic_levels=DEFAULT_PERIODIC_LEVELS,
     seed: int = None,
-    workers: int = 1,
 ) -> dict:
     """Full analysis of a finite system at a resolution (default: the mesh)."""
     observables = tuple(observables)
@@ -69,7 +68,7 @@ def analyze(
     if thresholds is None:
         thresholds = (h,)
     thresholds = tuple(Fraction(t) for t in thresholds)
-    table = orbit_distance_table(system, workers=workers)
+    table = orbit_distance_table(system)
     estar = e_star(system, table)
     constants = pointwise_constants(system, table)
     realized_d = system.realized_distances()
@@ -116,7 +115,7 @@ def analyze(
         entry = {
             "index": index,
             "delta_star": _ext(dstar),
-            "sigma_star_sq": _ext(sigma_star(system, phi, workers=workers)),
+            "sigma_star_sq": _ext(sigma_star(system, phi)),
             "expansive_at_resolution": (dstar is INF) or h < dstar,
             "separation_at_resolution": _separates_blocks(phi, h_quotient),
             "omega_obs_table": [

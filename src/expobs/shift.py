@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
+from types import MappingProxyType
 
 from .errors import (
     AlphabetMismatch,
@@ -29,7 +30,6 @@ from .errors import (
     NoPairFound,
 )
 from .exact import GaussianRational
-from .parallel import indexed_map
 
 _MAX_BOUNDARY_PUSH_NOTE = (
     "boundary normalization must terminate within |left|+|right| steps "
@@ -293,9 +293,10 @@ class CylinderObservable:
         }
         return cls.make(window, alphabet, table)
 
-    @property
-    def table(self) -> dict:
-        return dict(self.entries)
+    @cached_property
+    def table(self) -> MappingProxyType:
+        """Word -> value lookup, built once and shared, hence read-only."""
+        return MappingProxyType(dict(self.entries))
 
     def value_of_word(self, word: str) -> GaussianRational:
         return self.table[word]
@@ -424,7 +425,6 @@ def check_ball_inclusion(
     eps: Fraction,
     side: str,
     bound: int,
-    workers: int = 1,
 ) -> BallInclusionReport:
     """Exhaustively confirm that every enumerable point of the one-sided
     dynamical ball around x has phi-differences along the orbit dying out on
@@ -436,8 +436,9 @@ def check_ball_inclusion(
     k = snap_epsilon(eps)
     candidates = enumerate_points(tuple(x.alphabet), bound)
     in_ball = [y for y in candidates if in_dynamical_ball(x, y, eps, side)]
-    flags = indexed_map(lambda y: obs_stable_equiv(x, y, phi, side), in_ball, workers)
-    counterexamples = tuple(y for y, ok in zip(in_ball, flags) if not ok)
+    counterexamples = tuple(
+        y for y in in_ball if not obs_stable_equiv(x, y, phi, side)
+    )
     return BallInclusionReport(
         requested_eps=Fraction(eps),
         effective_eps=Fraction(1, 2 ** k),

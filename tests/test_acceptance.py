@@ -5,10 +5,13 @@ gate is readable straight off a pytest run.  All comparisons are exact; there
 are no tolerances anywhere.
 """
 
-import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,9 +47,7 @@ from expobs.relations import (
     orbit_distance_table,
     periodic_level_report,
     power_system,
-    sigma_star,
 )
-from expobs.report import analyze, law_report_document, render_report
 from expobs.sampling import corpus, random_isometric_system, random_observable
 from expobs.shift import (
     CylinderObservable,
@@ -57,6 +58,7 @@ from expobs.shift import (
 )
 
 CORPUS_SEED = 20240818
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -458,46 +460,51 @@ def test_criterion_12_interval_pipeline(announce):
     )
 
 
-def test_criterion_13_parallel_determinism(corpus200, observables5, announce):
+def test_criterion_13_hashseed_determinism(announce):
+    """Fresh interpreters with different hash seeds print the same bytes."""
+    fixtures = ROOT / "fixtures"
+    commands = {
+        "analyze": [
+            "analyze",
+            "--system", str(fixtures / "random_system_0.json"),
+            "--observable", str(fixtures / "random_observable_0.json"),
+        ],
+        "laws": [
+            "laws",
+            "--system", str(fixtures / "torus_cat_system.json"),
+            "--trials", "40", "--seed", "7",
+        ],
+        "check-inclusion": [
+            "symbolic", "check-inclusion",
+            "--point", str(fixtures / "homoclinic_point.json"),
+            "--observable", str(fixtures / "window1_cylinder_observable.json"),
+            "--epsilon", "1/2", "--bound", "7", "--alphabet", "01",
+        ],
+    }
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
     mismatches = []
-
-    for idx in range(0, 200, 13):
-        system = corpus200[idx]
-        phis = tuple(observables5[idx][:3])
-        reference = render_report(
-            analyze(system, phis, seed=idx, workers=1)
-        )
-        if render_report(analyze(system, phis, seed=idx, workers=8)) != reference:
-            mismatches.append(("analyze", idx))
-
-    cat5 = torus_cat_grid()
-    for system in (cat5, corpus200[3]):
-        a = json.dumps(law_report_document(law_suite(system, 40, seed=7, workers=1)))
-        b = json.dumps(law_report_document(law_suite(system, 40, seed=7, workers=8)))
-        if a != b:
-            mismatches.append(("laws", system.n))
-
-    for idx in (0, 50, 100):
-        system = corpus200[idx]
-        if (
-            orbit_distance_table(system, workers=1).values
-            != orbit_distance_table(system, workers=8).values
-        ):
-            mismatches.append(("table", idx))
-        phi = observables5[idx][0]
-        if sigma_star(system, phi, workers=1) != sigma_star(system, phi, workers=8):
-            mismatches.append(("sigma", idx))
-
-    base = EPPoint.make("0", alphabet="01")
-    phi = CylinderObservable.injective(1, "01")
-    a = check_ball_inclusion(base, phi, Fraction(1, 2), "s", 7, workers=1)
-    b = check_ball_inclusion(base, phi, Fraction(1, 2), "s", 7, workers=8)
-    if a != b:
-        mismatches.append(("ball",))
+    for name, argv in commands.items():
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=src + os.pathsep + path if path else src,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "expobs.cli", *argv],
+                env=env, capture_output=True, check=False,
+            )
+            if proc.returncode != 0:
+                mismatches.append((name, hash_seed, proc.returncode))
+            outputs.add(proc.stdout)
+        if len(outputs) != 1:
+            mismatches.append((name, len(outputs)))
 
     announce(
         13,
         not mismatches,
-        "eight-way parallel runs reproduce every report byte for byte",
-        f"{len(mismatches)} mismatches",
+        "fresh interpreters under PYTHONHASHSEED 0, 1, 2 print identical bytes",
+        f"{mismatches or 'analyze + laws + check-inclusion'}",
     )

@@ -59,11 +59,6 @@ class TestLawSuite:
         assert doc["trials"] == 5
         assert isinstance(doc["sigma_sum_notes"], list)
 
-    def test_worker_independence(self, cat5):
-        a = law_suite(cat5, trials=30, seed=9, workers=1)
-        b = law_suite(cat5, trials=30, seed=9, workers=8)
-        assert a == b
-
     def test_hand_checked_laws(self, l4):
         phi = split(l4, 0, 0, 1, 1)   # delta* = 2
         psi = split(l4, 0, 1, 1, 0)   # delta* = 1

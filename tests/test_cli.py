@@ -69,6 +69,35 @@ class TestAnalyze:
         assert code == 1
 
 
+class TestHostileSystemDocuments:
+    """Malformed system documents get exit 1 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"points": [[1], [2]]},
+            {"metric": [1, 2]},
+            {"points": ["1", "2"], "metric": ["01", "10"], "map": {"1": "2", "2": "1"}},
+        ],
+        ids=["list-point-ids", "scalar-metric-rows", "string-metric-row"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, changes):
+        doc = {
+            "points": ["a", "b"],
+            "metric": [["0", "1"], ["1", "0"]],
+            "map": {"a": "b", "b": "a"},
+            **changes,
+        }
+        code, out, err = run(
+            capsys, "quotient", "--system", json.dumps(doc), "--threshold", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestSmallCommands:
     def test_dstar(self, capsys):
         code, out, _ = run(

@@ -278,16 +278,3 @@ class TestPowersAndPeriodicLevels:
                     rep = periodic_level_report(system, phi, k)
                     assert rep.holds, (idx, k)
                     assert len(rep.distinct_values) <= max(len(rep.fixed), 1)
-
-
-class TestDeterminismAcrossWorkers:
-    def test_table_identical_for_any_worker_count(self, cat5):
-        one = orbit_distance_table(cat5, workers=1)
-        eight = orbit_distance_table(cat5, workers=8)
-        assert one.values == eight.values
-
-    def test_sigma_star_identical(self, cat5, observables_for):
-        for phi in observables_for(cat5, 3, seed=3):
-            assert sigma_star(cat5, phi, workers=1) == sigma_star(
-                cat5, phi, workers=8
-            )

@@ -60,15 +60,10 @@ class TestAnalyze:
         with pytest.raises(DegenerateSpace):
             analyze(one)
 
-    def test_render_is_deterministic_and_worker_independent(self, l4, cat5):
+    def test_render_is_deterministic(self, l4, cat5):
         for system in (l4, cat5):
             phis = observables(system, 2, seed=8)
-            texts = {
-                render_report(
-                    analyze(system, phis, seed=9, workers=w)
-                )
-                for w in (1, 2, 8)
-            }
+            texts = {render_report(analyze(system, phis, seed=9)) for _ in range(3)}
             assert len(texts) == 1
 
     def test_json_round_trip(self, l4_report):

@@ -233,13 +233,6 @@ class TestBallInclusion:
         assert report.points_in_ball > 0
         assert report.effective_eps == Fraction(1, 2)
 
-    def test_worker_independence(self):
-        phi = CylinderObservable.injective(1, "01")
-        x = EPPoint.make("0", alphabet="01")
-        a = check_ball_inclusion(x, phi, Fraction(1), "s", 6, workers=1)
-        b = check_ball_inclusion(x, phi, Fraction(1), "s", 6, workers=8)
-        assert a == b
-
 
 class TestAsymptoticPairs:
     def test_full_shift_returns_homoclinic_pair(self):
