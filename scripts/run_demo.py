@@ -60,11 +60,11 @@ def main() -> int:
     print("orbit sup-distance table:")
     for p, row in zip(l4.points, table.values):
         print(f"  {p}: " + "  ".join(str(v) for v in row))
-    print(f"mesh {mesh(l4)}, separation constant e* = {e_star(l4, table)}")
+    print(f"mesh {mesh(l4)}, separation constant e* = {e_star(l4)}")
     phi = distance_observable(l4, l4.points[0])
     print(
         f"distance observable at point {l4.points[0]}: "
-        f"delta* = {format_extended(delta_star(l4, phi, table))}, "
+        f"delta* = {format_extended(delta_star(l4, phi))}, "
         f"sigma*^2 = {format_extended(sigma_star(l4, phi))}"
     )
     quotient = indistinguishability_quotient(l4, Fraction(1))

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .exact import format_rational, parse_rational
 from .library import rotation_grid
+from .model import _as_dict
 from .relations import (
     chain_components,
     e_star,
@@ -125,9 +126,6 @@ class PLCircleMap:
             yr -= 1
         return _inverse_interp(xs, ys, yr) + k
 
-    def node_positions(self) -> tuple:
-        return self.breakpoints
-
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
         """Slope of the map on [lo, hi] if it is affine there, else None.
 
@@ -169,7 +167,7 @@ def shift_values(mapping: PLCircleMap, p: int) -> PLCircleMap:
 
 
 def parse_circle_map(document) -> PLCircleMap:
-    doc = _loads(document)
+    doc = _as_dict(document)
     for key in ("breakpoints", "lift_values"):
         if key not in doc:
             raise InvalidDocument(f"circle map document lacks {key!r}")
@@ -184,17 +182,6 @@ def serialize_circle_map(mapping: PLCircleMap) -> dict:
         "breakpoints": [format_rational(b) for b in mapping.breakpoints],
         "lift_values": [format_rational(v) for v in mapping.values],
     }
-
-
-def _loads(document):
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InvalidDocument(f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise InvalidDocument("document must be a JSON object")
-    return document
 
 
 # --- rotation numbers and periodic sets ---------------------------------------
@@ -676,14 +663,9 @@ class PLObservable:
     def eval(self, x: Fraction) -> Fraction:
         return _interp(self.breakpoints, self.values, Fraction(x))
 
-    def oscillation(self, lo: Fraction, hi: Fraction) -> Fraction:
-        candidates = [self.eval(lo), self.eval(hi)]
-        candidates += [v for bp, v in zip(self.breakpoints, self.values) if lo < bp < hi]
-        return max(candidates) - min(candidates)
-
 
 def parse_pl_observable(document) -> PLObservable:
-    doc = _loads(document)
+    doc = _as_dict(document)
     for key in ("breakpoints", "values"):
         if key not in doc:
             raise InvalidDocument(f"PL observable document lacks {key!r}")
@@ -842,7 +824,7 @@ def parse_interval_map(document):
     decreasing homeomorphism (swapping the endpoints) is analyzed through its
     square, returned as (square, 2).
     """
-    doc = _loads(document)
+    doc = _as_dict(document)
     for key in ("breakpoints", "values"):
         if key not in doc:
             raise InvalidDocument(f"interval map document lacks {key!r}")
@@ -906,7 +888,7 @@ def interval_pipeline(document, delta: Fraction,
     if isinstance(document, PLIntervalMap):
         doc = serialize_interval_map(document)
     else:
-        doc = _loads(document)
+        doc = _as_dict(document)
     mapping, power = parse_interval_map(doc)
     blocks = interval_fixed_blocks(mapping)
     if blocks == ((Fraction(0), Fraction(1)),):
@@ -996,7 +978,7 @@ def serialize_certificate(cert: Certificate) -> dict:
 
 
 def parse_certificate(document) -> Certificate:
-    doc = _loads(document)
+    doc = _as_dict(document)
     needed = ("space", "map", "map_id", "delta", "q", "p", "arc", "probe",
               "horizon", "direction", "mode", "trace")
     for key in needed:

@@ -15,6 +15,8 @@ from fractions import Fraction
 from . import __version__
 from .algebra import Conjugacy, conjugacy_invariance_report, law_suite
 from .circle import (
+    DEFAULT_N_MAX,
+    DEFAULT_Q_MAX,
     analyze_rotation_case,
     certify,
     interval_pipeline,
@@ -437,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     circ = p.add_subparsers(dest="circle_command", required=True)
     sp = circ.add_parser("rotnum", help="exact rotation number")
     sp.add_argument("--map", required=True)
-    sp.add_argument("--q-max", type=int, default=64)
+    sp.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     _add_out(sp)
     sp.set_defaults(func=_cmd_circle)
     sp = circ.add_parser("certify", help="wandering interval certificate")
     sp.add_argument("--map", required=True)
     sp.add_argument("--delta", required=True)
-    sp.add_argument("--q-max", type=int, default=64)
-    sp.add_argument("--n-max", type=int, default=100000)
+    sp.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
+    sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     sp.add_argument("--gap-observable", help="PL observable for a separation gap")
     _add_out(sp)
     sp.set_defaults(func=_cmd_circle)
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = inter.add_parser("certify", help="wandering interval certificate")
     sp.add_argument("--map", required=True)
     sp.add_argument("--delta", required=True)
-    sp.add_argument("--n-max", type=int, default=100000)
+    sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     _add_out(sp)
     sp.set_defaults(func=_cmd_interval)
 

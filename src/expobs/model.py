@@ -76,6 +76,37 @@ class FiniteSystem:
             inv[j] = i
         return tuple(inv)
 
+    @cached_property
+    def orbit_cycles(self) -> tuple:
+        """Pair cycles of (a, b) |-> (f a, f b), each with its orbit sup-distance.
+
+        Returns ((D, cycle), ...).  A cycle is a tuple of index pairs (i, j)
+        with i < j in first-visit order, and cycles follow the document order
+        of their smallest seed pair.  D is the metric maximum over the cycle,
+        which is D(x, y) for every pair on it.  Distinct points never meet the
+        diagonal (f is a bijection), so every distance along a cycle is
+        positive.  Every threshold query reads this one structure.
+        """
+        n, perm, metric = self.n, self.perm, self.metric
+        seen = [[False] * n for _ in range(n)]
+        cycles = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if seen[i][j]:
+                    continue
+                cycle = []
+                a, b = i, j
+                while True:
+                    lo, hi = (a, b) if a < b else (b, a)
+                    if not seen[lo][hi]:
+                        seen[lo][hi] = True
+                        cycle.append((lo, hi))
+                    a, b = perm[a], perm[b]
+                    if (a, b) == (i, j):
+                        break
+                cycles.append((max(metric[p][q] for p, q in cycle), tuple(cycle)))
+        return tuple(cycles)
+
     def realized_distances(self) -> tuple:
         """Sorted distinct positive distances d(x, y), x != y."""
         vals = {self.metric[i][j] for i in range(self.n) for j in range(i + 1, self.n)}

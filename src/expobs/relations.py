@@ -4,7 +4,9 @@ The central object is the orbit sup-distance D(x, y) = sup_n d(f^n x, f^n y).
 Because the map is a bijection of a finite set, the pair walk
 (a, b) |-> (f a, f b) is a permutation of ordered pairs, so the supremum is a
 maximum over one pair-cycle and the forward walk already covers all integer
-iterates (negative ones included).
+iterates (negative ones included).  Each system keeps its pair cycles with
+their D values (`FiniteSystem.orbit_cycles`), and the threshold queries here
+read that one structure.
 """
 
 from __future__ import annotations
@@ -12,45 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSpace, DomainMismatch
-from .exact import INF, ExtScalar, GaussianRational
+from .errors import DegenerateSpace
+from .exact import INF, ExtScalar
 from .model import FiniteSystem, Observable, check_domain
 
 
 def pair_cycles(system: FiniteSystem) -> list:
-    """Decompose unordered point pairs into orbits of (a, b) -> (f a, f b).
+    """Unordered point pairs split into orbits of (a, b) -> (f a, f b).
 
-    Returns a list of cycles, each a list of index pairs (i, j) with i < j,
-    in first-visit order; cycle list order follows the document order of the
-    smallest seed pair.  Distinct points never meet the diagonal (f is a
-    bijection), so every distance seen along a cycle is between two distinct
-    points.
+    A list of cycles, each a list of index pairs (i, j) with i < j, in the
+    order of `FiniteSystem.orbit_cycles`.
     """
-    n = system.n
-    perm = system.perm
-    seen = [[False] * n for _ in range(n)]
-    cycles = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seen[i][j]:
-                continue
-            cycle = []
-            a, b = i, j
-            while True:
-                lo, hi = (a, b) if a < b else (b, a)
-                if not seen[lo][hi]:
-                    seen[lo][hi] = True
-                    cycle.append((lo, hi))
-                a, b = perm[a], perm[b]
-                if (a, b) == (i, j):
-                    break
-            cycles.append(cycle)
-    return cycles
+    return [list(cycle) for _, cycle in system.orbit_cycles]
 
 
 @dataclass(frozen=True)
 class OrbitDistanceTable:
-    """Cached orbit sup-distances of a system, indexed like its metric."""
+    """Orbit sup-distances of a system, indexed like its metric."""
 
     system: FiniteSystem
     values: tuple
@@ -60,17 +40,12 @@ class OrbitDistanceTable:
 
 
 def orbit_distance_table(system: FiniteSystem) -> OrbitDistanceTable:
-    """n x n table whose (x, y) entry is the metric maximum over the pair-cycle."""
-    n, metric = system.n, system.metric
-    table = [[None] * n for _ in range(n)]
-    zero = Fraction(0)
-    for i in range(n):
-        table[i][i] = zero
-    for cycle in pair_cycles(system):
-        m = max(metric[i][j] for i, j in cycle)
+    """n x n table whose (x, y) entry is D of the pair-cycle holding (x, y)."""
+    n = system.n
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for d, cycle in system.orbit_cycles:
         for i, j in cycle:
-            table[i][j] = m
-            table[j][i] = m
+            table[i][j] = table[j][i] = d
     return OrbitDistanceTable(system, tuple(tuple(row) for row in table))
 
 
@@ -99,17 +74,14 @@ def min_pair_distance(system: FiniteSystem, x, y) -> Fraction:
     return min(_pair_orbit(system, x, y))
 
 
-def e_star(system: FiniteSystem, table: OrbitDistanceTable = None) -> Fraction:
+def e_star(system: FiniteSystem) -> Fraction:
     """The separation constant min_{x != y} D(x, y)."""
     if system.n < 2:
         raise DegenerateSpace("e* needs at least two points")
-    if table is None:
-        table = orbit_distance_table(system)
-    v = table.values
-    return min(v[i][j] for i in range(system.n) for j in range(i + 1, system.n))
+    return min(d for d, _ in system.orbit_cycles)
 
 
-def delta_star(system: FiniteSystem, phi: Observable, table: OrbitDistanceTable = None) -> ExtScalar:
+def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     """Expansivity constant of phi: min D(x, y) over pairs phi separates.
 
     INF for observables that separate nothing (constants); phi is then
@@ -117,16 +89,15 @@ def delta_star(system: FiniteSystem, phi: Observable, table: OrbitDistanceTable 
     delta < delta_star(phi) (strict, because orbit closeness is a <= condition).
     """
     check_domain(system, phi)
-    if table is None:
-        table = orbit_distance_table(system)
     vals = [phi[p] for p in system.points]
-    v = table.values
-    best: ExtScalar = INF
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if vals[i] != vals[j] and v[i][j] < best:
-                best = v[i][j]
-    return best
+    return min(
+        (
+            d
+            for d, cycle in system.orbit_cycles
+            if any(vals[i] != vals[j] for i, j in cycle)
+        ),
+        default=INF,
+    )
 
 
 def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
@@ -142,24 +113,24 @@ def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     vals = [phi[p] for p in system.points]
     maxima = (
         max((vals[i] - vals[j]).abs_sq() for i, j in cycle)
-        for cycle in pair_cycles(system)
+        for _, cycle in system.orbit_cycles
     )
     return min((m for m in maxima if m > 0), default=INF)
 
 
-def omega_map(system: FiniteSystem, t: Fraction, table: OrbitDistanceTable = None) -> Fraction:
+def omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
     """Uniform-expansion modulus: max { D(x,y) : d(x,y) <= t }, 0 if vacuous."""
     if t < 0:
         raise ValueError("omega_map needs t >= 0")
-    if table is None:
-        table = orbit_distance_table(system)
-    metric, v = system.metric, table.values
-    best = Fraction(0)
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if metric[i][j] <= t and v[i][j] > best:
-                best = v[i][j]
-    return best
+    metric = system.metric
+    return max(
+        (
+            d
+            for d, cycle in system.orbit_cycles
+            if any(metric[i][j] <= t for i, j in cycle)
+        ),
+        default=Fraction(0),
+    )
 
 
 def omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fraction:
@@ -205,30 +176,20 @@ class Quotient:
     threshold: Fraction
     blocks: tuple
 
-    def block_of(self, point):
-        for block in self.blocks:
-            if point in block:
-                return block
-        raise KeyError(point)
 
-
-def _components(system: FiniteSystem, edge_table, threshold) -> tuple:
-    n = system.n
-    dsu = _DSU(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if edge_table[i][j] <= threshold:
-                dsu.union(i, j)
+def _components(system: FiniteSystem, edges) -> tuple:
+    """Connected components of the graph on the points with these index edges."""
+    dsu = _DSU(system.n)
+    for i, j in edges:
+        dsu.union(i, j)
     groups = {}
-    for i in range(n):
+    for i in range(system.n):
         groups.setdefault(dsu.find(i), []).append(i)
     blocks = sorted(groups.values(), key=lambda g: g[0])
     return tuple(tuple(system.points[i] for i in g) for g in blocks)
 
 
-def indistinguishability_quotient(
-    system: FiniteSystem, delta: Fraction, table: OrbitDistanceTable = None
-) -> Quotient:
+def indistinguishability_quotient(system: FiniteSystem, delta: Fraction) -> Quotient:
     """Blocks = connected components of the graph with edges D(x, y) <= delta.
 
     An observable is delta-expansive on the system exactly when it is constant
@@ -236,29 +197,29 @@ def indistinguishability_quotient(
     """
     if delta < 0:
         raise ValueError("threshold must be >= 0")
-    if table is None:
-        table = orbit_distance_table(system)
-    return Quotient(Fraction(delta), _components(system, table.values, delta))
+    edges = (pair for d, cycle in system.orbit_cycles if d <= delta for pair in cycle)
+    return Quotient(Fraction(delta), _components(system, edges))
 
 
 def chain_components(system: FiniteSystem, t: Fraction) -> tuple:
     """Components of the graph with metric edges d(x, y) <= t."""
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    return _components(system, system.metric, t)
+    n, metric = system.n, system.metric
+    edges = ((i, j) for i in range(n) for j in range(i + 1, n) if metric[i][j] <= t)
+    return _components(system, edges)
 
 
-def pointwise_constants(system: FiniteSystem, table: OrbitDistanceTable = None) -> dict:
+def pointwise_constants(system: FiniteSystem) -> dict:
     """delta_x = min_{y != x} D(x, y) for every point x (document order)."""
     if system.n < 2:
         raise DegenerateSpace("pointwise constants need at least two points")
-    if table is None:
-        table = orbit_distance_table(system)
-    v = table.values
-    return {
-        p: min(v[i][j] for j in range(system.n) if j != i)
-        for i, p in enumerate(system.points)
-    }
+    best = [INF] * system.n
+    for d, cycle in system.orbit_cycles:
+        for i, j in cycle:
+            best[i] = min(best[i], d)
+            best[j] = min(best[j], d)
+    return dict(zip(system.points, best))
 
 
 def is_constant_on_blocks(phi: Observable, quotient: Quotient) -> bool:

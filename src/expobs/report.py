@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DegenerateSpace
-from .exact import INF, format_extended, format_rational
+from .exact import format_extended, format_rational
 from .model import (
     FiniteSystem,
     Observable,
@@ -30,7 +30,6 @@ from .relations import (
     is_constant_on_blocks,
     omega_map,
     omega_obs,
-    orbit_distance_table,
     periodic_level_report,
     pointwise_constants,
     sigma_star,
@@ -68,13 +67,10 @@ def analyze(
     if thresholds is None:
         thresholds = (h,)
     thresholds = tuple(Fraction(t) for t in thresholds)
-    table = orbit_distance_table(system)
-    estar = e_star(system, table)
-    constants = pointwise_constants(system, table)
+    estar = e_star(system)
+    constants = pointwise_constants(system)
     realized_d = system.realized_distances()
-    realized_orbit = tuple(
-        sorted({table.dist(x, y) for x in system.points for y in system.points if x != y})
-    )
+    realized_orbit = tuple(sorted({d for d, _ in system.orbit_cycles}))
 
     report = {
         "report": "analysis",
@@ -100,7 +96,7 @@ def analyze(
             "realized_distances": [format_rational(t) for t in realized_d],
             "realized_orbit_distances": [format_rational(t) for t in realized_orbit],
             "omega_map_table": [
-                [format_rational(t), format_rational(omega_map(system, t, table))]
+                [format_rational(t), format_rational(omega_map(system, t))]
                 for t in realized_d
             ],
         },
@@ -109,14 +105,14 @@ def analyze(
         "periodic_levels": [],
     }
 
-    h_quotient = indistinguishability_quotient(system, h, table=table)
+    h_quotient = indistinguishability_quotient(system, h)
     for index, phi in enumerate(observables):
-        dstar = delta_star(system, phi, table)
+        dstar = delta_star(system, phi)
         entry = {
             "index": index,
             "delta_star": _ext(dstar),
             "sigma_star_sq": _ext(sigma_star(system, phi)),
-            "expansive_at_resolution": (dstar is INF) or h < dstar,
+            "expansive_at_resolution": h < dstar,
             "separation_at_resolution": _separates_blocks(phi, h_quotient),
             "omega_obs_table": [
                 [format_rational(t), format_rational(omega_obs(system, phi, t))]
@@ -126,7 +122,7 @@ def analyze(
         report["observables"].append(entry)
 
     for t in thresholds:
-        quotient = indistinguishability_quotient(system, t, table=table)
+        quotient = h_quotient if t == h else indistinguishability_quotient(system, t)
         report["quotients"].append(
             {
                 "threshold": format_rational(t),

@@ -16,7 +16,6 @@ finite windows through the periods, hence everything here is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +29,7 @@ from .errors import (
     NoPairFound,
 )
 from .exact import GaussianRational
+from .model import _as_dict
 
 _MAX_BOUNDARY_PUSH_NOTE = (
     "boundary normalization must terminate within |left|+|right| steps "
@@ -266,6 +266,8 @@ class CylinderObservable:
 
     @classmethod
     def make(cls, window: int, alphabet, table) -> "CylinderObservable":
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise InvalidDocument(f"window must be an integer, got {window!r}")
         if window < 0:
             raise InvalidDocument("window must be >= 0")
         alphabet = tuple(alphabet)
@@ -503,19 +505,12 @@ def find_asymptotic_pair(
 
 
 def parse_point(document, alphabet=None) -> EPPoint:
-    doc = document
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InvalidDocument(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidDocument("point document must be an object")
+    doc = _as_dict(document)
     for key in ("left", "right"):
         if key not in doc or not isinstance(doc[key], str):
             raise InvalidDocument(f"point document needs a word at {key!r}")
     offset = doc.get("offset", 0)
-    if not isinstance(offset, int):
+    if isinstance(offset, bool) or not isinstance(offset, int):
         raise InvalidDocument("offset must be an integer")
     return EPPoint.make(
         doc["left"], doc.get("core", ""), doc["right"], offset, alphabet
@@ -530,17 +525,17 @@ def serialize_point(x: EPPoint) -> dict:
 
 
 def parse_cylinder_observable(document) -> CylinderObservable:
-    doc = document
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InvalidDocument(f"not valid JSON: {exc}") from None
+    doc = _as_dict(document)
     for key in ("window", "alphabet", "table"):
         if key not in doc:
             raise InvalidDocument(f"cylinder observable document lacks {key!r}")
+    alphabet = doc["alphabet"]
+    if not isinstance(alphabet, (str, list)) or not all(isinstance(a, str) for a in alphabet):
+        raise InvalidDocument("'alphabet' must be a string or a list of strings")
+    if not isinstance(doc["table"], dict):
+        raise InvalidDocument("'table' must be an object")
     table = {w: GaussianRational.parse_pair(v) for w, v in doc["table"].items()}
-    return CylinderObservable.make(doc["window"], tuple(doc["alphabet"]), table)
+    return CylinderObservable.make(doc["window"], tuple(alphabet), table)
 
 
 def serialize_cylinder_observable(phi: CylinderObservable) -> dict:

@@ -105,13 +105,13 @@ def realized_orbit_sups(system, table):
     )
 
 
-def test_criterion_01_common_constant_identity(corpus200, tables, announce):
+def test_criterion_01_common_constant_identity(corpus200, announce):
     started = time.monotonic()
     failures = []
-    for idx, (system, table) in enumerate(zip(corpus200, tables)):
-        direct = e_star(system, table)
+    for idx, system in enumerate(corpus200):
+        direct = e_star(system)
         via_observables = min(
-            delta_star(system, distance_observable(system, x), table)
+            delta_star(system, distance_observable(system, x))
             for x in system.points
         )
         if direct != via_observables:
@@ -130,7 +130,7 @@ def test_criterion_02_quotient_characterization(corpus200, tables, observables5,
     for idx, (system, table) in enumerate(zip(corpus200, tables)):
         realized = realized_orbit_sups(system, table)
         for phi in observables5[idx]:
-            d_star = delta_star(system, phi, table)
+            d_star = delta_star(system, phi)
             profile = [
                 (
                     oracles.brute_orbit_sup(system, i, j),
@@ -176,17 +176,15 @@ def test_criterion_04_inverse_and_power_laws(corpus200, tables, observables5, an
     failures = []
     gamma_cache = {}
     for idx, (system, table) in enumerate(zip(corpus200, tables)):
-        inverse_table = orbit_distance_table(power_system(system, -1))
-        power_tables = {
-            k: orbit_distance_table(power_system(system, k)) for k in (2, 3, 5)
-        }
+        inverse = power_system(system, -1)
+        powers = {k: power_system(system, k) for k in (2, 3, 5)}
         realized = realized_orbit_sups(system, table)
         for phi in observables5[idx]:
-            base = delta_star(system, phi, table)
-            if delta_star(inverse_table.system, phi, inverse_table) != base:
+            base = delta_star(system, phi)
+            if delta_star(inverse, phi) != base:
                 failures.append((idx, "inverse"))
             for k in (2, 3, 5):
-                powered = delta_star(power_tables[k].system, phi, power_tables[k])
+                powered = delta_star(powers[k], phi)
                 if base is INF:
                     if powered is not INF:
                         failures.append((idx, f"power-{k} INF drift"))
@@ -244,10 +242,9 @@ def test_criterion_06_discrete_rigidity(corpus200, announce):
     # system with modulus below the separation constant and a chain-connected
     # mesh graph would have to be a single point.
     for idx, system in enumerate(isometric + corpus200):
-        table = orbit_distance_table(system)
         h = mesh(system)
         connected = len(chain_components(system, h)) == 1
-        if connected and omega_map(system, h, table) < e_star(system, table):
+        if connected and omega_map(system, h) < e_star(system):
             if system.n != 1:
                 counterexamples.append((idx, "rigidity violated"))
     announce(

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -98,6 +99,43 @@ class TestHostileSystemDocuments:
         assert "Traceback" not in err
 
 
+class TestHostileSymbolicDocuments:
+    """Malformed points and cylinder observables get exit 1 and one error line."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            json.dumps({"window": "1", "alphabet": "01", "table": {}}),
+            # Read as window 1 before the check, so it needs all 3-letter words.
+            json.dumps({"window": True, "alphabet": "01",
+                        "table": {"".join(w): "0" for w in product("01", repeat=3)}}),
+            json.dumps({"window": 0, "alphabet": [0, 1], "table": {}}),
+            json.dumps({"window": 0, "alphabet": "01", "table": []}),
+        ],
+        ids=["not-an-object", "string-window", "bool-window", "int-letters", "list-table"],
+    )
+    def test_cylinder_rejected_with_one_error_line(self, capsys, tmp_path, text):
+        path = tmp_path / "observable.json"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "symbolic", "obs-stable", "--x", ZERO_PT, "--y", ONE_BUMP,
+            "--observable", str(path),
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_bool_offset_rejected(self, capsys):
+        point = json.dumps({"left": "0", "right": "0", "offset": True})
+        code, out, err = run(capsys, "symbolic", "distance", "--x", point, "--y", ZERO_PT)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 class TestSmallCommands:
     def test_dstar(self, capsys):
         code, out, _ = run(
@@ -122,6 +160,14 @@ class TestSmallCommands:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["checks"] == 100
+
+    def test_laws_negative_trials_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "laws", "--system", L4_DOC, "--trials", "-5", "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_conjugacy_identity(self, capsys):
         code, out, _ = run(

@@ -181,7 +181,7 @@ class TestQuotients:
         for delta in realized:
             fast = (d_star is INF) or d_star > delta
             assert fast == oracles.brute_is_expansive(system, phi, delta)
-            quotient = indistinguishability_quotient(system, delta, table)
+            quotient = indistinguishability_quotient(system, delta)
             assert fast == is_constant_on_blocks(phi, quotient)
 
     def test_equicontinuous_collapse(self):
@@ -197,11 +197,10 @@ class TestQuotients:
 
 class TestModuli:
     def test_omega_map_monotone(self, cat5):
-        table = orbit_distance_table(cat5)
         realized = cat5.realized_distances()
-        values = [omega_map(cat5, t, table) for t in realized]
+        values = [omega_map(cat5, t) for t in realized]
         assert values == sorted(values)
-        assert omega_map(cat5, Fraction(0), table) == 0
+        assert omega_map(cat5, Fraction(0)) == 0
 
     def test_omega_map_at_full_range_is_max(self, l4):
         assert omega_map(l4, Fraction(3)) == 3
