@@ -71,7 +71,6 @@ from .shift import (
 from .circle import (
     Certificate,
     PLCircleMap,
-    PLIntervalMap,
     PLObservable,
     analyze_rotation_case,
     certify,

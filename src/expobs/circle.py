@@ -21,6 +21,7 @@ from .errors import (
     AllFixed,
     HorizonExceeded,
     InconsistentRotationNumber,
+    InvariantViolation,
     InvalidDocument,
     NoPeriodicOrbit,
     NotRigid,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .exact import format_rational, parse_rational
 from .library import rotation_grid
-from .model import _as_dict
+from .model import _as_dict, _rational_list
 from .relations import (
     chain_components,
     e_star,
@@ -67,14 +68,10 @@ def _interp(xs, ys, x: Fraction) -> Fraction:
 
 
 def _inverse_interp(xs, ys, y: Fraction) -> Fraction:
-    """Preimage under a strictly monotone PL node list (either direction)."""
-    increasing = ys[-1] > ys[0]
+    """Preimage under a strictly increasing PL node list."""
     for i in range(len(xs) - 1):
         y1, y2 = ys[i], ys[i + 1]
-        lo, hi = (y1, y2) if increasing else (y2, y1)
-        if lo <= y <= hi:
-            if y1 == y2:
-                return xs[i]
+        if y1 <= y <= y2:
             return xs[i] + (y - y1) * (xs[i + 1] - xs[i]) / (y2 - y1)
     raise ValueError(f"{y} outside the value range [{ys[0]}, {ys[-1]}]")
 
@@ -172,8 +169,7 @@ def parse_circle_map(document) -> PLCircleMap:
         if key not in doc:
             raise InvalidDocument(f"circle map document lacks {key!r}")
     return PLCircleMap.build(
-        [parse_rational(b) for b in doc["breakpoints"]],
-        [parse_rational(v) for v in doc["lift_values"]],
+        _rational_list(doc, "breakpoints"), _rational_list(doc, "lift_values")
     )
 
 
@@ -202,7 +198,11 @@ def rotation_number(mapping: PLCircleMap, q_max: int = DEFAULT_Q_MAX):
         lo, hi = min(disp), max(disp)
         p_lo = -((-lo.numerator) // lo.denominator)  # ceil(lo)
         if p_lo <= hi:
-            assert gcd(p_lo, q) == 1, "earlier q would have produced this orbit"
+            if gcd(p_lo, q) != 1:
+                raise InvariantViolation(
+                    f"rotation number {p_lo}/{q} is not reduced: "
+                    "an earlier q would have produced this orbit"
+                )
             return Fraction(p_lo, q)
         if q < q_max:
             power = compose_circle(mapping, power)
@@ -263,7 +263,8 @@ def _complement_arcs(blocks, full: bool):
         b = blocks[(i + 1) % m][0] + (1 if i == m - 1 else 0)
         if a >= 1:
             a, b = a - 1, b - 1
-        assert a < b, "merged blocks cannot touch"
+        if not a < b:
+            raise InvariantViolation(f"merged periodic blocks touch at {a}")
         arcs.append((a, b))
     arcs.sort(key=lambda arc: arc[0])
     return tuple(arcs)
@@ -344,7 +345,8 @@ def _drift_direction(g, arc) -> int:
     a, b = arc
     midpoint = (a + b) / 2
     image = g.eval_lift(midpoint)
-    assert image != midpoint, "arc interior cannot contain fixed points"
+    if image == midpoint:
+        raise InvariantViolation(f"arc interior point {midpoint} is fixed")
     return 1 if image > midpoint else -1
 
 
@@ -670,8 +672,7 @@ def parse_pl_observable(document) -> PLObservable:
         if key not in doc:
             raise InvalidDocument(f"PL observable document lacks {key!r}")
     return PLObservable.build(
-        [parse_rational(b) for b in doc["breakpoints"]],
-        [parse_rational(v) for v in doc["values"]],
+        _rational_list(doc, "breakpoints"), _rational_list(doc, "values")
     )
 
 
@@ -756,123 +757,39 @@ def analyze_rotation_case(mapping: PLCircleMap) -> RotationCaseReport:
 
 
 # --- interval maps ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PLIntervalMap:
-    """Increasing PL homeomorphism of [0, 1] fixing both endpoints."""
-
-    breakpoints: tuple
-    values: tuple
-
-    @classmethod
-    def build(cls, breakpoints, values) -> "PLIntervalMap":
-        bs = tuple(Fraction(b) for b in breakpoints)
-        vs = tuple(Fraction(v) for v in values)
-        if len(bs) != len(vs) or len(bs) < 2:
-            raise InvalidDocument("breakpoints and values must pair up")
-        if bs[0] != 0 or bs[-1] != 1:
-            raise InvalidDocument("interval map must cover [0, 1]")
-        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-            raise InvalidDocument("breakpoints must be strictly increasing")
-        if vs[0] != 0 or vs[-1] != 1:
-            raise InvalidDocument("interval map must fix 0 and 1")
-        if any(v2 <= v1 for v1, v2 in zip(vs, vs[1:])):
-            raise InvalidDocument("values must be strictly increasing")
-        return cls(bs, vs)
-
-    def eval_lift(self, x: Fraction) -> Fraction:
-        return _interp(self.breakpoints, self.values, Fraction(x))
-
-    def inverse_lift(self, y: Fraction) -> Fraction:
-        return _inverse_interp(self.breakpoints, self.values, Fraction(y))
-
-    def affine_span_slope(self, lo: Fraction, hi: Fraction):
-        if hi < lo:
-            lo, hi = hi, lo
-        if lo == hi:
-            return None
-        if any(lo < b < hi for b in self.breakpoints):
-            return None
-        return (self.eval_lift(hi) - self.eval_lift(lo)) / (hi - lo)
-
-
-def compose_interval(outer, inner) -> "PLIntervalMap":
-    breaks = set(inner.breakpoints)
-    for b in outer.breakpoints:
-        breaks.add(_inverse_interp(inner.breakpoints, inner.values, b))
-    bs = sorted(breaks)
-    vs = [
-        _interp(outer.breakpoints, outer.values,
-                _interp(inner.breakpoints, inner.values, b))
-        for b in bs
-    ]
-    return PLIntervalMap.build(bs, vs)
-
-
-def interval_power(base: PLIntervalMap, q: int) -> PLIntervalMap:
-    acc = base
-    for _ in range(q - 1):
-        acc = compose_interval(base, acc)
-    return acc
+#
+# An increasing PL homeomorphism F of [0, 1] fixing both ends is the degree-one
+# circle lift with F(0) = 0 restricted to [0, 1]: its last node (1, 1) is the
+# node (1, F(0) + 1) that closes every lift.  Interval maps are PLCircleMaps.
 
 
 def parse_interval_map(document):
     """Parse an interval homeomorphism document.
 
     Returns (map, power): an increasing map comes back as (map, 1); a
-    decreasing homeomorphism (swapping the endpoints) is analyzed through its
-    square, returned as (square, 2).
+    decreasing homeomorphism f (swapping the endpoints) is analyzed through
+    its square, returned as (f o f, 2).  With R(x) = 1 - x the square is
+    (f o R) o (R o f), a composition of two increasing maps fixing 0 and 1.
     """
     doc = _as_dict(document)
     for key in ("breakpoints", "values"):
         if key not in doc:
             raise InvalidDocument(f"interval map document lacks {key!r}")
-    bs = [parse_rational(b) for b in doc["breakpoints"]]
-    vs = [parse_rational(v) for v in doc["values"]]
-    if len(bs) >= 2 and vs and vs[0] == 1 and vs[-1] == 0:
+    bs = _rational_list(doc, "breakpoints")
+    vs = _rational_list(doc, "values")
+    if len(bs) != len(vs) or len(bs) < 2:
+        raise InvalidDocument("breakpoints and values must pair up")
+    if bs[0] != 0 or bs[-1] != 1:
+        raise InvalidDocument("interval map must cover [0, 1]")
+    if vs[0] == 1 and vs[-1] == 0:
         if any(v2 >= v1 for v1, v2 in zip(vs, vs[1:])):
             raise InvalidDocument("decreasing map must decrease strictly")
-        square_bs = sorted(set(bs) | {
-            _inverse_interp(tuple(bs), tuple(vs), b) for b in bs
-        })
-        square_vs = [
-            _interp(tuple(bs), tuple(vs), _interp(tuple(bs), tuple(vs), b))
-            for b in square_bs
-        ]
-        return PLIntervalMap.build(square_bs, square_vs), 2
-    return PLIntervalMap.build(bs, vs), 1
-
-
-def serialize_interval_map(mapping: PLIntervalMap) -> dict:
-    return {
-        "breakpoints": [format_rational(b) for b in mapping.breakpoints],
-        "values": [format_rational(v) for v in mapping.values],
-    }
-
-
-def interval_fixed_blocks(mapping: PLIntervalMap):
-    """Merged closed blocks of Fix(F) inside [0, 1] (0 and 1 always fixed)."""
-    xs, ys = mapping.breakpoints, mapping.values
-    pieces = []
-    for i in range(len(xs) - 1):
-        x1, x2, y1, y2 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-        slope = (y2 - y1) / (x2 - x1)
-        if slope == 1:
-            if y1 == x1:
-                pieces.append([x1, x2])
-        else:
-            root = x1 + (0 - (y1 - x1)) / (slope - 1)
-            if x1 <= root <= x2:
-                pieces.append([root, root])
-    pieces.sort(key=lambda piece: piece[0])
-    merged = [pieces[0]]
-    for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+        inner = PLCircleMap.build(bs[:-1], [1 - v for v in vs[:-1]])
+        outer = PLCircleMap.build([1 - b for b in bs[:0:-1]], vs[:0:-1])
+        return compose_circle(outer, inner), 2
+    if vs[0] != 0 or vs[-1] != 1:
+        raise InvalidDocument("interval map must fix 0 and 1")
+    return PLCircleMap.build(bs[:-1], vs[:-1]), 1
 
 
 def interval_pipeline(document, delta: Fraction,
@@ -880,18 +797,16 @@ def interval_pipeline(document, delta: Fraction,
     """Locate the wandering components of an interval homeomorphism and
     certify the first one.
 
-    Accepts a map document or a PLIntervalMap; a decreasing document is
-    reduced to its square (recorded as q=2 in the certificate).  Raises
-    AllFixed (with an analytical report) when the reduced map is the
-    identity, where every observable is trivially stable on every component.
+    A decreasing document is reduced to its square (recorded as q=2 in the
+    certificate).  Raises AllFixed (with an analytical report) when the
+    reduced map is the identity, where every observable is trivially stable
+    on every component.  0 is always fixed, so the complementary arcs of the
+    fixed set, read on the circle, are the interval's components in order.
     """
-    if isinstance(document, PLIntervalMap):
-        doc = serialize_interval_map(document)
-    else:
-        doc = _as_dict(document)
+    doc = _as_dict(document)
     mapping, power = parse_interval_map(doc)
-    blocks = interval_fixed_blocks(mapping)
-    if blocks == ((Fraction(0), Fraction(1)),):
+    blocks, full = periodic_points(mapping, 0, 1)
+    if full:
         raise AllFixed(
             "every point is fixed; dynamics adds nothing to plain distance",
             report={
@@ -905,12 +820,8 @@ def interval_pipeline(document, delta: Fraction,
                 ),
             },
         )
-    arcs = []
-    for (lo1, hi1), (lo2, hi2) in zip(blocks, blocks[1:]):
-        arcs.append((hi1, lo2))
-    if not arcs:
-        raise NoWanderingInterval("fixed set has a single block covering [0, 1]")
-    return _certify_core(mapping, "interval", tuple(arcs), power, 0, delta, n_max, doc)
+    return _certify_core(mapping, "interval", _complement_arcs(blocks, full),
+                         power, 0, delta, n_max, doc)
 
 
 # --- certificate interchange -----------------------------------------------------
@@ -977,6 +888,25 @@ def serialize_certificate(cert: Certificate) -> dict:
     return doc
 
 
+def _cert_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidDocument(f"certificate {what} must be an integer")
+    return value
+
+
+def _cert_pair(value, what: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidDocument(f"certificate {what} must be a pair of rationals")
+    return parse_rational(value[0]), parse_rational(value[1])
+
+
+def _cert_object(value, what: str, keys=()) -> dict:
+    if not isinstance(value, dict) or any(key not in value for key in keys):
+        needs = f" with {', '.join(keys)}" if keys else ""
+        raise InvalidDocument(f"certificate {what} must be an object{needs}")
+    return value
+
+
 def parse_certificate(document) -> Certificate:
     doc = _as_dict(document)
     needed = ("space", "map", "map_id", "delta", "q", "p", "arc", "probe",
@@ -984,10 +914,21 @@ def parse_certificate(document) -> Certificate:
     for key in needed:
         if key not in doc:
             raise InvalidDocument(f"certificate lacks {key!r}")
+    horizon = _cert_int(doc["horizon"], "'horizon'")
+    if horizon < 0:
+        raise InvalidDocument("certificate 'horizon' must not be negative")
+    if not isinstance(doc["trace"], list):
+        raise InvalidDocument("certificate 'trace' must be a list")
+    trace = []
+    for entry in doc["trace"]:
+        entry = _cert_object(entry, "trace entry", ("n", "lo", "hi"))
+        trace.append((_cert_int(entry["n"], "trace 'n'"),
+                      parse_rational(entry["lo"]), parse_rational(entry["hi"])))
     tail = {}
-    for label, t in doc.get("tail", {}).items():
+    for label, t in _cert_object(doc.get("tail", {}), "'tail'").items():
+        t = _cert_object(t, f"tail {label!r}", ("span", "slope"))
         tail[label] = {
-            "span": (parse_rational(t["span"][0]), parse_rational(t["span"][1])),
+            "span": _cert_pair(t["span"], f"tail {label!r} span"),
             "slope": parse_rational(t["slope"]),
         }
     return Certificate(
@@ -995,17 +936,14 @@ def parse_certificate(document) -> Certificate:
         map_document=doc["map"],
         map_id=doc["map_id"],
         delta=parse_rational(doc["delta"]),
-        q=int(doc["q"]),
-        p=int(doc["p"]),
-        arc=(parse_rational(doc["arc"][0]), parse_rational(doc["arc"][1])),
-        probe=(parse_rational(doc["probe"][0]), parse_rational(doc["probe"][1])),
-        horizon=int(doc["horizon"]),
-        direction=int(doc["direction"]),
+        q=_cert_int(doc["q"], "'q'"),
+        p=_cert_int(doc["p"], "'p'"),
+        arc=_cert_pair(doc["arc"], "'arc'"),
+        probe=_cert_pair(doc["probe"], "'probe'"),
+        horizon=horizon,
+        direction=_cert_int(doc["direction"], "'direction'"),
         mode=doc["mode"],
-        trace=tuple(
-            (int(t["n"]), parse_rational(t["lo"]), parse_rational(t["hi"]))
-            for t in doc["trace"]
-        ),
+        trace=tuple(trace),
         tail=tail,
     )
 

@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON documents (inline or by path), runs one pipeline,
 and emits a deterministic JSON (or SVG) report.  Exit codes: 0 success,
-1 invalid input or usage, 2 a mathematical property failed verification.
+1 invalid input or usage, 2 a mathematical property failed verification
+(or an invariant of the engine itself broke).
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .circle import (
     verify_certificate,
     wandering_intervals,
 )
-from .errors import AllFixed, ExpobsError, NotRigid, NoWanderingInterval
+from .errors import (
+    AllFixed,
+    ExpobsError,
+    InvariantViolation,
+    NotRigid,
+    NoWanderingInterval,
+)
 from .exact import format_rational, parse_rational
 from .model import parse_observable, parse_system
 from .relations import delta_star, indistinguishability_quotient, sigma_star
@@ -478,6 +485,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except ExpobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

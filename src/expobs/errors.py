@@ -81,5 +81,9 @@ class AllFixed(ExpobsError):
         self.report = report
 
 
+class InvariantViolation(ExpobsError):
+    """A mathematical guarantee of the engine failed at run time (a bug)."""
+
+
 class MalformedReport(ExpobsError):
     """Report document lacks the fields a renderer needs."""

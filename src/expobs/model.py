@@ -198,6 +198,14 @@ def _as_dict(document):
     return document
 
 
+def _rational_list(doc: dict, key: str) -> list:
+    """doc[key] as exact rationals; anything but a JSON list is rejected."""
+    values = doc[key]
+    if not isinstance(values, list):
+        raise InvalidDocument(f"{key!r} must be a list of rationals")
+    return [parse_rational(v) for v in values]
+
+
 # --- observables -----------------------------------------------------------
 
 

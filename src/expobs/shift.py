@@ -26,6 +26,7 @@ from types import MappingProxyType
 from .errors import (
     AlphabetMismatch,
     InvalidDocument,
+    InvariantViolation,
     NoPairFound,
 )
 from .exact import GaussianRational
@@ -80,7 +81,8 @@ def _canonicalize(left: str, core: str, right: str, offset: int):
             left = _rot_left(left)
             right = _rot_left(right)
             steps += 1
-            assert steps <= guard, _MAX_BOUNDARY_PUSH_NOTE
+            if steps > guard:
+                raise InvariantViolation(_MAX_BOUNDARY_PUSH_NOTE)
     return left, core, right, offset
 
 
@@ -208,14 +210,13 @@ def sym_orbit_sup(x: EPPoint, y: EPPoint) -> Fraction:
 
 
 def snap_epsilon(eps: Fraction) -> int:
-    """Largest k >= 0 with 2^(-k) <= eps (radii are snapped down to powers)."""
+    """Least k >= 0 with 2^(-k) <= eps: the largest power-of-two radius not
+    above eps (radii are snapped down to powers)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("radius must be positive")
-    k = 0
-    while Fraction(1, 2 ** k) > eps:
-        k += 1
-    return k
+    c = -(-eps.denominator // eps.numerator)  # ceil(1 / eps)
+    return (c - 1).bit_length()               # least k with 2^k >= c
 
 
 def in_dynamical_ball(x: EPPoint, y: EPPoint, eps: Fraction, side: str) -> bool:
@@ -493,9 +494,10 @@ def find_asymptotic_pair(
         )
     x, y = found
     for phi in observables:
-        assert obs_stable_equiv(x, y, phi, side), (
-            "stable equivalence must force observable convergence"
-        )
+        if not obs_stable_equiv(x, y, phi, side):
+            raise InvariantViolation(
+                "stable equivalence must force observable convergence"
+            )
     return AsymptoticPairReport(
         x=x, y=y, side=side, verified_observables=len(observables)
     )

@@ -14,9 +14,7 @@ from expobs.circle import (
     circle_power,
     compose_circle,
     conjugate_by_rotation,
-    interval_fixed_blocks,
     interval_pipeline,
-    interval_power,
     map_identifier,
     parse_certificate,
     parse_circle_map,
@@ -28,7 +26,6 @@ from expobs.circle import (
     separation_gap,
     serialize_certificate,
     serialize_circle_map,
-    serialize_interval_map,
     shift_values,
     verify_certificate,
     wandering_intervals,
@@ -334,19 +331,21 @@ class TestIntervalPipeline:
     def test_interval_round_trip(self):
         mapping, power = parse_interval_map(valley_interval_document())
         assert power == 1
-        assert parse_interval_map(serialize_interval_map(mapping))[0] == mapping
+        assert mapping == PLCircleMap.build(
+            [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+            [Fraction(0), Fraction(3, 8), Fraction(1, 2), Fraction(7, 8)],
+        )
 
     def test_fixed_blocks_of_valley(self):
         mapping, _ = parse_interval_map(valley_interval_document())
-        blocks = interval_fixed_blocks(mapping)
-        assert blocks == (
-            (Fraction(0), Fraction(0)),
-            (Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(1), Fraction(1)),
+        # The fixed point 1 of [0, 1] is the circle's 0.
+        assert periodic_points(mapping, 0, 1) == (
+            ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))),
+            False,
         )
 
     def test_interval_power_matches_iteration(self):
         mapping, _ = parse_interval_map(valley_interval_document())
-        sq = interval_power(mapping, 2)
+        sq = circle_power(mapping, 2)
         for x in rational_points(12, 8):
             assert sq.eval_lift(x) == mapping.eval_lift(mapping.eval_lift(x))

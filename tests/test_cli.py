@@ -1,9 +1,14 @@
+import ast
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import expobs
+from expobs import cli
 from expobs.cli import main
+from expobs.errors import InvariantViolation
 from expobs.library import (
     m0_circle_document,
     reflection_interval_document,
@@ -35,6 +40,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_one_error_line(code, out, err, expected_code=1):
+    assert code == expected_code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -323,6 +336,98 @@ class TestInterval:
         doc = json.loads(out)
         assert doc["outcome"] == "all_fixed"
         assert doc["power"] == 2
+
+
+class TestHostilePLDocuments:
+    """PL map and observable lists that are not JSON lists get exit 1 and one
+    error line: no traceback, and a string is not read as its characters."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("circle", "rotnum", "--map",
+             json.dumps({"breakpoints": 5, "lift_values": ["1/3"]})),
+            ("circle", "rotnum", "--map",
+             json.dumps({"breakpoints": "0", "lift_values": ["1/3"]})),
+            ("interval", "certify", "--delta", "1/16", "--map",
+             json.dumps({"breakpoints": "01", "values": ["0", "1"]})),
+            ("interval", "certify", "--delta", "1/16", "--map",
+             json.dumps({"breakpoints": ["0", "1"], "values": 7})),
+            ("circle", "certify", "--delta", "1/16",
+             "--map", json.dumps(m0_circle_document()),
+             "--gap-observable", json.dumps({"breakpoints": 3, "values": ["0", "1"]})),
+        ],
+        ids=["int-breakpoints", "string-breakpoints", "string-interval-breakpoints",
+             "int-values", "int-gap-breakpoints"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, argv):
+        assert_one_error_line(*run(capsys, *argv))
+
+
+def _certificate(capsys, space, map_doc):
+    code, out, _ = run(
+        capsys, space, "certify", "--map", json.dumps(map_doc), "--delta", "1/16"
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+class TestHostileCertificates:
+    """Certificates of the wrong JSON shape get exit 1 and one error line."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"tail": [1]},
+            {"tail": {"forward": 5}},
+            {"tail": {"forward": {"span": "0", "slope": "1"}}},
+            {"trace": [{"n": 0}]},
+            {"trace": 5},
+            {"trace": [5]},
+            {"q": 1.5},
+            {"horizon": True},
+            {"horizon": -1, "trace": []},
+            {"direction": "1"},
+            {"arc": 5},
+            {"probe": ["0"]},
+        ],
+        ids=["list-tail", "int-tail-entry", "string-tail-span", "trace-entry-lacks-keys",
+             "int-trace", "int-trace-entry", "float-q", "bool-horizon",
+             "negative-horizon", "string-direction", "int-arc", "short-probe"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, changes):
+        doc = {**_certificate(capsys, "circle", m0_circle_document()), **changes}
+        assert_one_error_line(*run(capsys, "circle", "verify", "--cert", json.dumps(doc)))
+
+    def test_interval_probe_outside_the_interval_is_a_violation(self, capsys):
+        doc = _certificate(capsys, "interval", valley_interval_document())
+        doc["probe"] = ["3/2", "7/4"]
+        code, out, err = run(capsys, "circle", "verify", "--cert", json.dumps(doc))
+        assert code == 2
+        assert err == ""
+        violations = json.loads(out)["violations"]
+        assert "probe interval is not strictly inside the arc" in violations
+        assert any(v.startswith("trace mismatch") for v in violations)
+
+
+class TestInvariants:
+    def test_no_assert_statements_in_the_package(self):
+        # Invariants must survive python -O, which strips assert statements.
+        for path in sorted(Path(expobs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not found, f"{path.name} asserts at lines {found}"
+
+    def test_broken_invariant_exits_two(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("arc interior point 1/4 is fixed")
+
+        monkeypatch.setattr(cli, "interval_pipeline", broken)
+        code, out, err = run(
+            capsys, "interval", "certify", "--map",
+            json.dumps(valley_interval_document()), "--delta", "1/16",
+        )
+        assert_one_error_line(code, out, err, expected_code=2)
 
 
 class TestPlot:

@@ -133,6 +133,14 @@ class TestDynamicalBalls:
         assert snap_epsilon(Fraction(1, 2)) == 1
         assert snap_epsilon(Fraction(1, 3)) == 2
         assert snap_epsilon(Fraction(2, 3)) == 1
+        # The least k >= 0 with 2^-k <= eps, found by counting up.
+        for a in range(1, 40):
+            for b in range(1, 300):
+                eps = Fraction(a, b)
+                k = 0
+                while Fraction(1, 2 ** k) > eps:
+                    k += 1
+                assert snap_epsilon(eps) == k, eps
 
     def test_snap_rejects_nonpositive(self):
         with pytest.raises(Exception):
