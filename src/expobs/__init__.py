@@ -35,7 +35,9 @@ from .relations import (
     gamma_k,
     indistinguishability_quotient,
     omega_map,
+    omega_map_table,
     omega_obs,
+    omega_obs_table,
     orbit_distance_table,
     pair_orbit_sup,
     periodic_level_report,

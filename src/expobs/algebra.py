@@ -15,6 +15,8 @@ from .relations import (
     delta_star,
     indistinguishability_quotient,
     is_constant_on_blocks,
+    modulus_at,
+    modulus_table,
     separated_pairs,
     sigma_star,
 )
@@ -241,18 +243,17 @@ def transport(conj: Conjugacy, phi: Observable) -> Observable:
     return Observable(tuple((y, phi[h[y]]) for y in conj.source.points))
 
 
+def omega_h_table(conj: Conjugacy) -> tuple:
+    """((t, omega_h(t)), ...) over the realized source distances t."""
+    target = conj.target
+    images = [target.index(image) for _, image in conj.pairs]
+    metric = target.metric
+    return modulus_table(conj.source, lambda i, j: metric[images[i]][images[j]])
+
+
 def omega_h(conj: Conjugacy, t: Fraction) -> Fraction:
     """Distortion modulus of h: max d_target(h a, h b) over d_source(a,b) <= t."""
-    h = conj.h
-    pts = conj.source.points
-    best = Fraction(0)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            if conj.source.dist(a, b) <= t:
-                img = conj.target.dist(h[a], h[b])
-                if img > best:
-                    best = img
-    return best
+    return modulus_at(omega_h_table(conj), t)
 
 
 @dataclass(frozen=True)
@@ -278,8 +279,7 @@ def conjugacy_invariance_report(
     if observables is None:
         rng = random.Random(seed)
         observables = [random_observable(rng, conj.target) for _ in range(samples)]
-    realized = conj.source.realized_distances()
-    omega_tab = tuple((t, omega_h(conj, t)) for t in realized)
+    omega_tab = omega_h_table(conj)
     iso = conj.is_isometry()
     entries = []
     violations = []

@@ -35,7 +35,7 @@ from .relations import (
     chain_components,
     e_star,
     indistinguishability_quotient,
-    omega_map,
+    omega_map_table,
 )
 from .model import mesh as system_mesh
 
@@ -746,9 +746,7 @@ def analyze_rotation_case(mapping: PLCircleMap) -> RotationCaseReport:
         grid_size=len(grid.points),
         e_star=e_star(grid),
         mesh=system_mesh(grid),
-        omega_identity=all(
-            omega_map(grid, t) == t for t in grid.realized_distances()
-        ),
+        omega_identity=all(w == t for t, w in omega_map_table(grid)),
         quotient_threshold=threshold,
         blocks=quotient.blocks,
         single_block=len(quotient.blocks) == 1,

@@ -5,9 +5,11 @@ and exact complex observables on them, plus the JSON interchange format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -107,10 +109,27 @@ class FiniteSystem:
                 cycles.append((max(metric[p][q] for p, q in cycle), tuple(cycle)))
         return tuple(cycles)
 
+    @cached_property
+    def pairs_by_distance(self) -> tuple:
+        """Index pairs (i, j), i < j, sorted stably by d(x_i, x_j).
+
+        Every modulus table is one running-maximum sweep over this order, and
+        the pairs with d <= t are a prefix of it for every threshold t.
+        """
+        n, metric = self.n, self.metric
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs.sort(key=lambda pair: metric[pair[0]][pair[1]])
+        return tuple(pairs)
+
     def realized_distances(self) -> tuple:
         """Sorted distinct positive distances d(x, y), x != y."""
-        vals = {self.metric[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
-        return tuple(sorted(vals))
+        metric = self.metric
+        realized = []
+        for i, j in self.pairs_by_distance:
+            d = metric[i][j]
+            if not realized or realized[-1] != d:
+                realized.append(d)
+        return tuple(realized)
 
 
 def _check_metric(points, rows):
@@ -127,15 +146,23 @@ def _check_metric(points, rows):
                 raise MetricViolation(
                     f"nonpositive distance d({points[i]},{points[j]}) = {rows[i][j]}"
                 )
+    # The triangle inequality on integers over one common denominator.  Rows
+    # are symmetric here, so column j is row j, and d(i, j) <= d(i, k) + d(k, j)
+    # for every k is one comparison against the least row sum.  A pair (j, i)
+    # fails exactly when (i, j) does, so the first failing triple in (i, j, k)
+    # order has i < j; only a failing pair rescans k to name it.
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j]:
-                    raise MetricViolation(
-                        "triangle inequality fails at "
-                        f"({points[i]},{points[j]},{points[k]}): "
-                        f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
-                    )
+        ri = ints[i]
+        for j in range(i + 1, n):
+            if ri[j] > min(map(add, ri, ints[j])):
+                k = next(k for k in range(n) if ri[j] > ri[k] + ints[k][j])
+                raise MetricViolation(
+                    "triangle inequality fails at "
+                    f"({points[i]},{points[j]},{points[k]}): "
+                    f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
+                )
 
 
 def _permutation_of(points, mapping):
@@ -292,11 +319,8 @@ def mesh(system: FiniteSystem) -> Fraction:
     """Smallest positive distance; the default analysis resolution."""
     if system.n < 2:
         raise DegenerateSpace("mesh needs at least two points")
-    return min(
-        system.metric[i][j]
-        for i in range(system.n)
-        for j in range(i + 1, system.n)
-    )
+    i, j = system.pairs_by_distance[0]
+    return system.metric[i][j]
 
 
 def distance_observable(system: FiniteSystem, base) -> Observable:

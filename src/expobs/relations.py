@@ -6,13 +6,18 @@ Because the map is a bijection of a finite set, the pair walk
 maximum over one pair-cycle and the forward walk already covers all integer
 iterates (negative ones included).  Each system keeps its pair cycles with
 their D values (`FiniteSystem.orbit_cycles`), and the threshold queries here
-read that one structure.
+read that one structure.  The moduli (omega_map, omega_obs, and omega_h in
+`algebra`) are tables from one sweep over the pairs sorted by distance
+(`FiniteSystem.pairs_by_distance`); a single-t modulus is a lookup into its
+table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import DegenerateSpace
 from .exact import INF, ExtScalar
@@ -100,6 +105,25 @@ def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     )
 
 
+def _value_classes(system: FiniteSystem, phi: Observable):
+    """Class id of each point's value, and the squared moduli between classes.
+
+    Returns (ids, osc): ids[i] names the value of phi at point i, and
+    osc[a][b] = |value_a - value_b|^2, computed once per pair of distinct
+    values.
+    """
+    check_domain(system, phi)
+    ids, classes = [], {}
+    for p in system.points:
+        ids.append(classes.setdefault(phi[p], len(classes)))
+    values = list(classes)
+    osc = [[Fraction(0)] * len(values) for _ in values]
+    for a, va in enumerate(values):
+        for b in range(a + 1, len(values)):
+            osc[a][b] = osc[b][a] = (va - values[b]).abs_sq()
+    return ids, osc
+
+
 def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     """Strong expansivity constant, reported as a squared modulus.
 
@@ -109,45 +133,65 @@ def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     shares the cycle maximum, and a cycle holds a phi-separated pair exactly
     when that maximum is positive, so the minimum runs over cycles.
     """
-    check_domain(system, phi)
-    vals = [phi[p] for p in system.points]
+    ids, osc = _value_classes(system, phi)
     maxima = (
-        max((vals[i] - vals[j]).abs_sq() for i, j in cycle)
+        max(osc[ids[i]][ids[j]] for i, j in cycle)
         for _, cycle in system.orbit_cycles
     )
     return min((m for m in maxima if m > 0), default=INF)
+
+
+def modulus_table(system: FiniteSystem, weight) -> tuple:
+    """((t, max weight(i, j) over pairs with d(x_i, x_j) <= t), ...) for every
+    realized distance t, ascending: one running-maximum sweep over
+    `FiniteSystem.pairs_by_distance`, starting from 0.
+    """
+    metric = system.metric
+    table = []
+    best = Fraction(0)
+    for i, j in system.pairs_by_distance:
+        w = weight(i, j)
+        if w > best:
+            best = w
+        d = metric[i][j]
+        if table and table[-1][0] == d:
+            table[-1] = (d, best)
+        else:
+            table.append((d, best))
+    return tuple(table)
+
+
+def modulus_at(table: tuple, t) -> Fraction:
+    """A modulus table's value at t: its entry at the largest realized
+    distance <= t, and 0 below the smallest one."""
+    k = bisect_right(table, t, key=lambda entry: entry[0])
+    return table[k - 1][1] if k else Fraction(0)
+
+
+def omega_map_table(system: FiniteSystem) -> tuple:
+    """((t, omega_map(t)), ...) over the realized distances t."""
+    orbit = orbit_distance_table(system).values
+    return modulus_table(system, lambda i, j: orbit[i][j])
 
 
 def omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
     """Uniform-expansion modulus: max { D(x,y) : d(x,y) <= t }, 0 if vacuous."""
     if t < 0:
         raise ValueError("omega_map needs t >= 0")
-    metric = system.metric
-    return max(
-        (
-            d
-            for d, cycle in system.orbit_cycles
-            if any(metric[i][j] <= t for i, j in cycle)
-        ),
-        default=Fraction(0),
-    )
+    return modulus_at(omega_map_table(system), t)
+
+
+def omega_obs_table(system: FiniteSystem, phi: Observable) -> tuple:
+    """((t, omega_obs(phi, t)), ...) over the realized distances t."""
+    ids, osc = _value_classes(system, phi)
+    return modulus_table(system, lambda i, j: osc[ids[i]][ids[j]])
 
 
 def omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fraction:
     """Oscillation modulus of phi (squared): max |phi(x)-phi(y)|^2 over d <= t."""
     if t < 0:
         raise ValueError("omega_obs needs t >= 0")
-    check_domain(system, phi)
-    vals = [phi[p] for p in system.points]
-    metric = system.metric
-    best = Fraction(0)
-    for i in range(system.n):
-        for j in range(i + 1, system.n):
-            if metric[i][j] <= t:
-                osc = (vals[i] - vals[j]).abs_sq()
-                if osc > best:
-                    best = osc
-    return best
+    return modulus_at(omega_obs_table(system, phi), t)
 
 
 # --- quotients --------------------------------------------------------------
@@ -205,8 +249,8 @@ def chain_components(system: FiniteSystem, t: Fraction) -> tuple:
     """Components of the graph with metric edges d(x, y) <= t."""
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    n, metric = system.n, system.metric
-    edges = ((i, j) for i in range(n) for j in range(i + 1, n) if metric[i][j] <= t)
+    metric = system.metric
+    edges = takewhile(lambda pair: metric[pair[0]][pair[1]] <= t, system.pairs_by_distance)
     return _components(system, edges)
 
 
@@ -234,14 +278,25 @@ def is_constant_on_blocks(phi: Observable, quotient: Quotient) -> bool:
 
 
 def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
-    """Same space, map f^k (k may be negative; k = 0 is rejected)."""
+    """Same space, map f^k (k may be negative; k = 0 is rejected).
+
+    f^k rotates each cycle of the permutation by k modulo its length, so the
+    cost is O(n) for every k; a negative k rotates backwards (the inverse).
+    """
     if k == 0:
         raise ValueError("power_system needs k != 0")
-    base = system.perm if k > 0 else system.inverse_perm
-    perm = tuple(range(system.n))
-    for _ in range(abs(k)):
-        perm = tuple(base[i] for i in perm)
-    return FiniteSystem(system.points, system.metric, perm)
+    base = system.perm
+    perm = [None] * system.n
+    for start in range(system.n):
+        if perm[start] is not None:
+            continue
+        cycle = [start]
+        while base[cycle[-1]] != start:
+            cycle.append(base[cycle[-1]])
+        shift = k % len(cycle)
+        for pos, i in enumerate(cycle):
+            perm[i] = cycle[(pos + shift) % len(cycle)]
+    return FiniteSystem(system.points, system.metric, tuple(perm))
 
 
 def fixed_points(system: FiniteSystem, k: int) -> tuple:
@@ -302,21 +357,26 @@ def gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
         raise ValueError("gamma_k needs k >= 1")
     if e < 0:
         raise ValueError("gamma_k needs e >= 0")
-    n, perm, metric = system.n, system.perm, system.metric
-    spreads = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = i, j
-            spread = Fraction(0)
-            for _ in range(k):
-                if metric[a][b] > spread:
-                    spread = metric[a][b]
-                a, b = perm[a], perm[b]
-            spreads[(i, j)] = spread
-    for t in reversed(system.realized_distances()):
-        if all(spread <= e for (i, j), spread in spreads.items() if metric[i][j] <= t):
-            return t
-    return Fraction(0)
+    perm, metric = system.perm, system.metric
+
+    def spread(a, b):
+        top = Fraction(0)
+        for _ in range(k):
+            if metric[a][b] > top:
+                top = metric[a][b]
+            a, b = perm[a], perm[b]
+        return top
+
+    # The answer is the realized distance just below the first pair, in
+    # distance order, whose spread exceeds e; the largest one if none does.
+    qualified = current = Fraction(0)
+    for i, j in system.pairs_by_distance:
+        d = metric[i][j]
+        if d != current:
+            qualified, current = current, d
+        if spread(i, j) > e:
+            return qualified
+    return current
 
 
 # --- small helpers used across modules --------------------------------------

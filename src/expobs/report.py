@@ -28,8 +28,8 @@ from .relations import (
     fixed_points,
     indistinguishability_quotient,
     is_constant_on_blocks,
-    omega_map,
-    omega_obs,
+    omega_map_table,
+    omega_obs_table,
     periodic_level_report,
     pointwise_constants,
     sigma_star,
@@ -63,13 +63,13 @@ def analyze(
     observables = tuple(observables)
     if len(system.points) < 2:
         raise DegenerateSpace("analysis needs at least two points")
-    h = mesh(system) if resolution is None else Fraction(resolution)
+    system_mesh = mesh(system)
+    h = system_mesh if resolution is None else Fraction(resolution)
     if thresholds is None:
         thresholds = (h,)
     thresholds = tuple(Fraction(t) for t in thresholds)
     estar = e_star(system)
     constants = pointwise_constants(system)
-    realized_d = system.realized_distances()
     realized_orbit = tuple(sorted({d for d, _ in system.orbit_cycles}))
 
     report = {
@@ -84,7 +84,7 @@ def analyze(
         },
         "system": {
             "points": len(system.points),
-            "mesh": format_rational(mesh(system)),
+            "mesh": format_rational(system_mesh),
             "e_star": format_rational(estar),
             "expansive_at_resolution": h < estar,
             "pointwise_constants": {
@@ -93,11 +93,13 @@ def analyze(
             "pointwise_expansive_at_resolution": all(
                 constants[x] > h for x in system.points
             ),
-            "realized_distances": [format_rational(t) for t in realized_d],
+            "realized_distances": [
+                format_rational(t) for t in system.realized_distances()
+            ],
             "realized_orbit_distances": [format_rational(t) for t in realized_orbit],
             "omega_map_table": [
-                [format_rational(t), format_rational(omega_map(system, t))]
-                for t in realized_d
+                [format_rational(t), format_rational(w)]
+                for t, w in omega_map_table(system)
             ],
         },
         "observables": [],
@@ -115,8 +117,8 @@ def analyze(
             "expansive_at_resolution": h < dstar,
             "separation_at_resolution": _separates_blocks(phi, h_quotient),
             "omega_obs_table": [
-                [format_rational(t), format_rational(omega_obs(system, phi, t))]
-                for t in realized_d
+                [format_rational(t), format_rational(w)]
+                for t, w in omega_obs_table(system, phi)
             ],
         }
         report["observables"].append(entry)

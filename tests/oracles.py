@@ -89,3 +89,104 @@ def all_realized_orbit_sups(system: FiniteSystem) -> tuple:
         for j in range(i + 1, system.n)
     }
     return tuple(sorted(vals))
+
+
+def brute_omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
+    """max of the true orbit sup over pairs with d <= t; 0 if there are none."""
+    return max(
+        (
+            brute_orbit_sup(system, i, j)
+            for i in range(system.n)
+            for j in range(i + 1, system.n)
+            if system.metric[i][j] <= t
+        ),
+        default=Fraction(0),
+    )
+
+
+def brute_omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fraction:
+    vals = [phi[p] for p in system.points]
+    best = Fraction(0)
+    for i in range(system.n):
+        for j in range(i + 1, system.n):
+            if system.metric[i][j] <= t:
+                best = max(best, (vals[i] - vals[j]).abs_sq())
+    return best
+
+
+def brute_omega_h(conj, t: Fraction) -> Fraction:
+    h = conj.h
+    pts = conj.source.points
+    best = Fraction(0)
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            if conj.source.dist(a, b) <= t:
+                best = max(best, conj.target.dist(h[a], h[b]))
+    return best
+
+
+def brute_gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
+    """Largest realized t whose pairs all keep their first k iterates within e,
+    found by testing every realized t from the top."""
+    n, perm, metric = system.n, system.perm, system.metric
+    spreads = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = i, j
+            spread = Fraction(0)
+            for _ in range(k):
+                spread = max(spread, metric[a][b])
+                a, b = perm[a], perm[b]
+            spreads[(i, j)] = spread
+    realized = sorted({metric[i][j] for i, j in spreads})
+    for t in reversed(realized):
+        if all(s <= e for (i, j), s in spreads.items() if metric[i][j] <= t):
+            return t
+    return Fraction(0)
+
+
+def brute_chain_components(system: FiniteSystem, t: Fraction) -> tuple:
+    """Blocks of the graph d(x, y) <= t by repeated relabelling to the least
+    reachable index, each block in document order, blocks by first point."""
+    label = list(range(system.n))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(system.n):
+            for j in range(system.n):
+                if i != j and system.metric[i][j] <= t and label[j] < label[i]:
+                    label[i] = label[j]
+                    changed = True
+    blocks = {}
+    for i in range(system.n):
+        blocks.setdefault(label[i], []).append(system.points[i])
+    return tuple(tuple(blocks[key]) for key in sorted(blocks))
+
+
+def brute_power_perm(system: FiniteSystem, k: int) -> tuple:
+    """The index permutation of f^k by |k| compositions of f or its inverse."""
+    step = list(system.perm)
+    if k < 0:
+        for i, j in enumerate(system.perm):
+            step[j] = i
+    perm = list(range(system.n))
+    for _ in range(abs(k)):
+        perm = [step[i] for i in perm]
+    return tuple(perm)
+
+
+def triangle_violation(points, rows):
+    """The first (i, j, k) with d(i, j) > d(i, k) + d(k, j), as the message
+    ingest raises for it, by a plain triple loop over the Fractions; None if
+    the triangle inequality holds."""
+    n = len(points)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j]:
+                    return (
+                        "triangle inequality fails at "
+                        f"({points[i]},{points[j]},{points[k]}): "
+                        f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
+                    )
+    return None

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from expobs.algebra import (
     Conjugacy,
     conjugacy_invariance_report,
@@ -12,6 +14,7 @@ from expobs.algebra import (
     obs_mul,
     obs_scale,
     omega_h,
+    omega_h_table,
     transport,
 )
 from expobs.errors import NonConvergent, NotAConjugacy
@@ -19,6 +22,7 @@ from expobs.exact import INF, GaussianRational
 from expobs.library import rotation_grid
 from expobs.model import FiniteSystem, Observable
 from expobs.relations import delta_star
+from expobs.sampling import random_system
 
 
 def split(system, *values):
@@ -155,3 +159,21 @@ class TestConjugacy:
         assert report.omega_table == tuple(
             (t, 2 * t) for t in l4.realized_distances()
         )
+
+    def test_omega_h_table_matches_brute_force(self, small_corpus):
+        """Conjugacies of each corpus system to itself along f, and to a copy
+        with the same dynamics and an unrelated metric."""
+        for idx, system in enumerate(small_corpus):
+            along_f = {p: system.apply(p) for p in system.points}
+            other = random_system(random.Random(idx), system.n, system.n)
+            remetric = FiniteSystem.build(system.points, other.metric, along_f)
+            for target in (system, remetric):
+                conj = Conjugacy.build(system, target, along_f)
+                table = omega_h_table(conj)
+                realized = system.realized_distances()
+                assert [t for t, _ in table] == list(realized)
+                for t, w in table:
+                    assert w == oracles.brute_omega_h(conj, t)
+                between = [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+                for t in [Fraction(-1), Fraction(0), *between, realized[-1] + 1]:
+                    assert omega_h(conj, t) == oracles.brute_omega_h(conj, t)

@@ -2,6 +2,7 @@ import ast
 import json
 from itertools import product
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestAnalyze:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["system"]["mesh"] == "1"
+
+    def test_huge_periodic_levels(self, capsys):
+        """f^k rotates each cycle by k mod its length, so the cost of a level
+        does not grow with k."""
+        start = perf_counter()
+        code, out, _ = run(
+            capsys, "analyze", "--system", L4_DOC, "--observable", SPLIT_OBS,
+            "--levels", "1000000000000,1000000000001",
+        )
+        assert perf_counter() - start < 5
+        assert code == 0
+        levels = json.loads(out)["periodic_levels"]
+        assert [level["fixed_count"] for level in levels] == [4, 0]
 
     def test_invalid_document_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "--system", '{"points": []}')

@@ -1,7 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from expobs.errors import (
     DegenerateSpace,
@@ -147,3 +150,56 @@ class TestObservable:
         phi = distance_observable(l4, "0")
         assert phi["0"].is_zero()
         assert phi["3"] == GaussianRational.of(3)
+
+
+class TestTriangleCheck:
+    """Ingest's integer triangle check against the plain Fraction triple loop."""
+
+    @staticmethod
+    def near_metric(rng, n):
+        """Symmetric, positive, zero on the diagonal, with mixed denominators;
+        a random share of the shortest-path repair is applied, so some come
+        out metrics and some do not."""
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 5, 7, 9)))
+                rows[i][j] = rows[j][i] = v
+        repair = rng.random()
+        for k in range(n):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    via = rows[i][k] + rows[k][j]
+                    if via < rows[i][j] and rng.random() < repair:
+                        rows[i][j] = rows[j][i] = via
+        return rows
+
+    def test_same_verdict_and_message_as_triple_loop(self):
+        rng = random.Random(2718)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            rows = self.near_metric(rng, n)
+            points = [f"p{i}" for i in range(n)]
+            expected = oracles.triangle_violation(points, rows)
+            if expected is None:
+                FiniteSystem.build(points, rows, {p: p for p in points})
+                outcomes["accepted"] += 1
+            else:
+                with pytest.raises(MetricViolation) as info:
+                    FiniteSystem.build(points, rows, {p: p for p in points})
+                assert str(info.value) == expected
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_distinct_prime_denominators_accepted(self):
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+        n = 9
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), p in zip(pairs, primes):
+            rows[i][j] = rows[j][i] = 1 + Fraction(1, p)
+        points = [f"p{i}" for i in range(n)]
+        system = FiniteSystem.build(points, rows, {p: p for p in points})
+        assert oracles.triangle_violation(points, rows) is None
+        assert system.metric == tuple(tuple(row) for row in rows)

@@ -19,7 +19,9 @@ from expobs.relations import (
     is_constant_on_blocks,
     min_pair_distance,
     omega_map,
+    omega_map_table,
     omega_obs,
+    omega_obs_table,
     orbit_distance_table,
     pair_cycles,
     pair_orbit_sup,
@@ -29,6 +31,14 @@ from expobs.relations import (
     sigma_star,
 )
 from expobs.sampling import random_observable, random_system
+
+
+def probe_thresholds(system):
+    """0, each realized distance, a point between each neighbouring pair of
+    them, and one point above the largest."""
+    realized = system.realized_distances()
+    between = [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+    return [Fraction(0), *realized, *between, realized[-1] + 1]
 
 
 def seeded_systems(seed, count, max_points=8):
@@ -223,7 +233,79 @@ class TestModuli:
         assert min(pointwise_constants(system).values()) == e_star(system)
 
 
+class TestDistanceSweep:
+    """The sorted-pair sweeps against per-t brute force."""
+
+    def test_pairs_by_distance(self, small_corpus):
+        for system in small_corpus:
+            pairs = system.pairs_by_distance
+            dists = [system.metric[i][j] for i, j in pairs]
+            assert dists == sorted(dists)
+            assert sorted(pairs) == [
+                (i, j) for i in range(system.n) for j in range(i + 1, system.n)
+            ]
+
+    def test_omega_map_table(self, small_corpus):
+        for system in small_corpus:
+            table = omega_map_table(system)
+            assert [t for t, _ in table] == list(system.realized_distances())
+            for t, w in table:
+                assert w == oracles.brute_omega_map(system, t)
+            for t in probe_thresholds(system):
+                assert omega_map(system, t) == oracles.brute_omega_map(system, t)
+
+    def test_omega_obs_table(self, small_corpus, observables_for):
+        for idx, system in enumerate(small_corpus):
+            for phi in observables_for(system, 2, seed=300 + idx):
+                table = omega_obs_table(system, phi)
+                assert [t for t, _ in table] == list(system.realized_distances())
+                for t, w in table:
+                    assert w == oracles.brute_omega_obs(system, phi, t)
+                for t in probe_thresholds(system):
+                    assert omega_obs(system, phi, t) == oracles.brute_omega_obs(
+                        system, phi, t
+                    )
+
+    def test_negative_threshold_rejected(self, l4):
+        phi = distance_observable(l4, "0")
+        with pytest.raises(ValueError):
+            omega_map(l4, Fraction(-1))
+        with pytest.raises(ValueError):
+            omega_obs(l4, phi, Fraction(-1))
+
+    def test_gamma_k(self, small_corpus):
+        for system in small_corpus:
+            for e in probe_thresholds(system):
+                for k in (1, 2, 3, 5):
+                    assert gamma_k(system, k, e) == oracles.brute_gamma_k(system, k, e)
+
+    def test_chain_components(self, small_corpus):
+        for system in small_corpus:
+            for t in probe_thresholds(system):
+                assert chain_components(system, t) == oracles.brute_chain_components(
+                    system, t
+                )
+
+
 class TestPowersAndPeriodicLevels:
+    def test_power_system_matches_iteration(self, small_corpus):
+        for system in small_corpus:
+            for k in range(-12, 13):
+                if k:
+                    assert power_system(system, k).perm == oracles.brute_power_perm(
+                        system, k
+                    )
+        with pytest.raises(ValueError):
+            power_system(small_corpus[0], 0)
+
+    def test_power_system_huge_exponent(self, small_corpus):
+        for system in small_corpus:
+            order = oracles.permutation_order(system)
+            for k in (10**12, -(10**12) - 1):
+                assert power_system(system, k).perm == oracles.brute_power_perm(
+                    system, k % order
+                )
+
     def test_power_system_composition(self, cat5):
         sq = power_system(cat5, 2)
         for p in cat5.points:
