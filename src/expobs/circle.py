@@ -189,6 +189,11 @@ def rotation_number(mapping: PLCircleMap, q_max: int = DEFAULT_Q_MAX):
     so at most one integer p can be crossed at each q; the first hit is the
     reduced fraction.
     """
+    return _rotation(mapping, q_max)[0]
+
+
+def _rotation(mapping: PLCircleMap, q_max: int):
+    """(p/q, F^q) as found by `rotation_number`, or (None, None)."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     power = mapping
@@ -203,10 +208,10 @@ def rotation_number(mapping: PLCircleMap, q_max: int = DEFAULT_Q_MAX):
                     f"rotation number {p_lo}/{q} is not reduced: "
                     "an earlier q would have produced this orbit"
                 )
-            return Fraction(p_lo, q)
+            return Fraction(p_lo, q), power
         if q < q_max:
             power = compose_circle(mapping, power)
-    return None
+    return None, None
 
 
 def periodic_points(mapping: PLCircleMap, p: int, q: int):
@@ -218,8 +223,12 @@ def periodic_points(mapping: PLCircleMap, p: int, q: int):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    g = circle_power(mapping, q)
-    xs, ys = g._nodes()
+    return _periodic_blocks(circle_power(mapping, q), p, q)
+
+
+def _periodic_blocks(power: PLCircleMap, p: int, q: int):
+    """`periodic_points` with the lift power F^q already composed."""
+    xs, ys = power._nodes()
     pieces = []
     for i in range(len(xs) - 1):
         x1, x2, y1, y2 = xs[i], xs[i + 1], ys[i], ys[i + 1]
@@ -283,20 +292,20 @@ def wandering_intervals(mapping: PLCircleMap, q_max: int = DEFAULT_Q_MAX) -> Wan
     Every complementary arc is wandering for g: its points drift from the
     repelling end to the attracting end, never to return.
     """
-    rho = rotation_number(mapping, q_max)
-    if rho is None:
-        raise NoPeriodicOrbit(f"no periodic orbit with period <= {q_max}")
-    p, q = rho.numerator, rho.denominator
-    blocks, full = periodic_points(mapping, p, q)
-    return WanderingReport(arcs=_complement_arcs(blocks, full), q=q, p=p)
+    return reduced_power(mapping, q_max)[1]
 
 
 def reduced_power(mapping: PLCircleMap, q_max: int = DEFAULT_Q_MAX):
     """(g, report) where g = F^q - p has the wandering arcs as its fixed-free
-    region and fixes every arc endpoint."""
-    report = wandering_intervals(mapping, q_max)
-    g = shift_values(circle_power(mapping, report.q), report.p)
-    return g, report
+    region and fixes every arc endpoint.  F^q is the power the rotation
+    number search ended on, so it is composed once."""
+    rho, power = _rotation(mapping, q_max)
+    if rho is None:
+        raise NoPeriodicOrbit(f"no periodic orbit with period <= {q_max}")
+    p, q = rho.numerator, rho.denominator
+    blocks, full = _periodic_blocks(power, p, q)
+    report = WanderingReport(arcs=_complement_arcs(blocks, full), q=q, p=p)
+    return shift_values(power, p), report
 
 
 # --- wandering interval certificates ------------------------------------------
@@ -520,13 +529,16 @@ class VerificationReport:
         return not self.violations
 
 
-def verify_certificate(cert: Certificate, delta: Fraction = None) -> VerificationReport:
+def verify_certificate(cert: Certificate, delta: Fraction = None,
+                       q_max: int = DEFAULT_Q_MAX) -> VerificationReport:
     """Replay a certificate from its embedded map document.
 
     Recomputes the reduced power, re-walks the probe orbit, and re-checks
     every inequality; any exact mismatch or failed bound becomes a violation.
     A larger delta may be supplied: a certificate for delta also certifies
-    every delta' >= delta.
+    every delta' >= delta.  A circle certificate's q costs q - 1 compositions
+    to replay, so q above q_max (the bound `certify` searched under) raises
+    HorizonExceeded before any of them.
     """
     delta = cert.delta if delta is None else Fraction(delta)
     violations = []
@@ -534,6 +546,8 @@ def verify_certificate(cert: Certificate, delta: Fraction = None) -> Verificatio
         violations.append("override delta is smaller than the certified delta")
     try:
         if cert.space == "circle":
+            if cert.q > q_max:
+                raise HorizonExceeded(f"certificate q = {cert.q} exceeds q_max = {q_max}")
             base = parse_circle_map(cert.map_document)
             g = shift_values(circle_power(base, cert.q), cert.p)
             cap = CIRCLE_DIAM_CAP

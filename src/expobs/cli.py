@@ -316,7 +316,7 @@ def _cmd_circle(args) -> int:
     if sub == "verify":
         cert = parse_certificate(_load_document(args.cert))
         delta = parse_rational(args.delta) if args.delta else None
-        result = verify_certificate(cert, delta)
+        result = verify_certificate(cert, delta, q_max=args.q_max)
         _emit_doc({"ok": result.ok, "violations": list(result.violations)}, args.out)
         return EXIT_OK if result.ok else EXIT_VIOLATION
     raise ExpobsError(f"unknown circle subcommand {sub!r}")
@@ -460,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = circ.add_parser("verify", help="replay a certificate")
     sp.add_argument("--cert", required=True)
     sp.add_argument("--delta", help="larger threshold to verify against")
+    sp.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     _add_out(sp)
     sp.set_defaults(func=_cmd_circle)
 

@@ -196,7 +196,7 @@ def sym_distance(x: EPPoint, y: EPPoint) -> Fraction:
     for m in range(bound + 1):
         if wx[bound + m] != wy[bound + m] or wx[bound - m] != wy[bound - m]:
             return Fraction(1, 2 ** m)
-    raise AssertionError("distinct canonical points must disagree within the horizon")
+    raise InvariantViolation("distinct canonical points must disagree within the horizon")
 
 
 def sym_orbit_sup(x: EPPoint, y: EPPoint) -> Fraction:
@@ -433,12 +433,38 @@ def check_ball_inclusion(
     dynamical ball around x has phi-differences along the orbit dying out on
     that side.  Counterexamples would refute the windowed-observable theorem,
     so the expected value is always 'none'.
+
+    Only points in x's tail class can lie in the ball.  A point y of the
+    s-ball agrees with x on a ray [-k, infinity), so both sequences have the
+    same least eventual period there; canonical tails are primitive, so
+    y.right has the length of x.right and is one of its rotations (mirrored
+    for side 'u' and the left tails).  Each point of that class is decided
+    by one window comparison against x on a common horizon: one tail period
+    beyond every core and beyond -k.  That window contains each pair's own
+    window in `in_dynamical_ball`, and agreement on the shorter one already
+    forces agreement on the whole ray, so both windows give the same answer.
     """
     if x.alphabet is None:
         raise InvalidDocument("base point needs an explicit alphabet")
     k = snap_epsilon(eps)
+    # Enumerated over x's alphabet, so no candidate needs an alphabet check.
     candidates = enumerate_points(tuple(x.alphabet), bound)
-    in_ball = [y for y in candidates if in_dynamical_ball(x, y, eps, side)]
+    if side == "s":
+        period, doubled = len(x.right), x.right * 2
+        same_tail = [y for y in candidates
+                     if len(y.right) == period and y.right in doubled]
+        hi = max(x.end, -k, *(y.end for y in same_tail)) + period
+        ref = x.window(-k, hi)
+        in_ball = [y for y in same_tail if y.window(-k, hi) == ref]
+    elif side == "u":
+        period, doubled = len(x.left), x.left * 2
+        same_tail = [y for y in candidates
+                     if len(y.left) == period and y.left in doubled]
+        lo = min(x.start, k + 1, *(y.start for y in same_tail)) - period
+        ref = x.window(lo, k + 1)
+        in_ball = [y for y in same_tail if y.window(lo, k + 1) == ref]
+    else:
+        raise ValueError("side must be 's' or 'u'")
     counterexamples = tuple(
         y for y in in_ball if not obs_stable_equiv(x, y, phi, side)
     )

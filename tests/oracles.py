@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from expobs.exact import INF
 from expobs.model import FiniteSystem, Observable
+from expobs.shift import EPPoint, enumerate_points, in_dynamical_ball
 
 
 def permutation_order(system: FiniteSystem) -> int:
@@ -190,3 +191,10 @@ def triangle_violation(points, rows):
                         f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
                     )
     return None
+
+
+def brute_ball(x: EPPoint, eps: Fraction, side: str, bound: int) -> list:
+    """The enumerated points of the one-sided dynamical ball around x, in
+    enumeration order, by one `in_dynamical_ball` call per point."""
+    return [y for y in enumerate_points(tuple(x.alphabet), bound)
+            if in_dynamical_ball(x, y, eps, side)]

@@ -1,5 +1,7 @@
+import importlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from expobs.circle import (
     parse_pl_observable,
     periodic_points,
     property_p_check,
+    reduced_power,
     rotation_number,
     separation_gap,
     serialize_certificate,
@@ -60,6 +63,24 @@ def plateau():
 def rational_points(count, seed, den=96):
     rng = random.Random(seed)
     return [Fraction(rng.randrange(den), den) for _ in range(count)]
+
+
+def symmetric_bump_maps(count, seed):
+    """Circle maps with rotation number p/q, q <= 5: x + p/q after a bump
+    that fixes every multiple of 1/q, seen from a random rotated chart."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        q = rng.randint(1, 5)
+        p = rng.choice([p for p in range(q) if gcd(p, q) == 1] or [0])
+        lift = Fraction(rng.randint(-3, 3), 8 * q)
+        bs, vs = [], []
+        for j in range(q):
+            bs += [Fraction(j, q), Fraction(2 * j + 1, 2 * q)]
+            vs += [Fraction(j + p, q), Fraction(2 * j + 1, 2 * q) + lift + Fraction(p, q)]
+        c = Fraction(rng.randint(0, 95), 96)
+        maps.append(conjugate_by_rotation(PLCircleMap.build(bs, vs), c))
+    return maps
 
 
 class TestPLCircleMap:
@@ -162,6 +183,30 @@ class TestPeriodicStructure:
         rot = parse_circle_map(rigid_rotation_document("5/7"))
         with pytest.raises(NoPeriodicOrbit):
             wandering_intervals(rot, q_max=3)
+
+    def test_reduced_power_reuses_the_rotation_power(self, monkeypatch):
+        """g = F^q - p is the power the rotation search ended on: q - 1
+        compositions in all, and the same map as composing F^q afresh."""
+        circle_module = importlib.import_module("expobs.circle")
+        calls = []
+        compose = circle_module.compose_circle
+
+        def counting(outer, inner):
+            calls.append(1)
+            return compose(outer, inner)
+
+        for mapping in symmetric_bump_maps(12, seed=41):
+            rho = rotation_number(mapping)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(circle_module, "compose_circle", counting)
+                g, report = reduced_power(mapping)
+            assert len(calls) == rho.denominator - 1
+            assert (report.p, report.q) == (rho.numerator, rho.denominator)
+            assert g == shift_values(circle_power(mapping, report.q), report.p)
+            assert report.arcs == circle_module._complement_arcs(
+                *periodic_points(mapping, report.p, report.q)
+            )
 
 
 class TestCertify:

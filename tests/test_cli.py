@@ -330,6 +330,42 @@ class TestCircle:
         assert doc["e_star"] == "1/8"
 
 
+# Rotation number 1/4: x + 1/4 after a bump fixing each multiple of 1/4.
+QUARTER_TURN_MAP = json.dumps({
+    "breakpoints": ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8"],
+    "lift_values": ["1/4", "7/16", "1/2", "11/16", "3/4", "15/16", "1", "19/16"],
+})
+
+
+class TestVerifyBudget:
+    """Replaying a circle certificate composes the map q - 1 times, so verify
+    takes the --q-max budget that certify searched under."""
+
+    def test_huge_q_exits_one_fast(self, capsys):
+        doc = _certificate(capsys, "circle", m0_circle_document())
+        doc["q"] = 100000
+        start = perf_counter()
+        code, out, err = run(capsys, "circle", "verify", "--cert", json.dumps(doc))
+        assert perf_counter() - start < 2
+        assert_one_error_line(code, out, err)
+        assert "q_max" in err
+
+    @pytest.mark.parametrize("q_max", ["80", "4"])
+    def test_round_trip_at_the_certify_budget(self, capsys, q_max):
+        code, out, _ = run(capsys, "circle", "certify", "--map", QUARTER_TURN_MAP,
+                           "--delta", "1/16", "--q-max", q_max)
+        assert code == 0 and json.loads(out)["q"] == 4
+        code, out, _ = run(capsys, "circle", "verify", "--cert", out, "--q-max", q_max)
+        assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_q_above_the_verify_budget_exits_one(self, capsys):
+        code, cert, _ = run(capsys, "circle", "certify", "--map", QUARTER_TURN_MAP,
+                            "--delta", "1/16")
+        assert code == 0
+        assert_one_error_line(*run(capsys, "circle", "verify", "--cert", cert,
+                                   "--q-max", "3"))
+
+
 class TestInterval:
     def test_valley_certificate(self, capsys):
         code, out, _ = run(
@@ -424,12 +460,21 @@ class TestHostileCertificates:
         assert any(v.startswith("trace mismatch") for v in violations)
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 class TestInvariants:
     def test_no_assert_statements_in_the_package(self):
-        # Invariants must survive python -O, which strips assert statements.
+        # Invariants must survive python -O, which strips assert statements,
+        # and reach the user as InvariantViolation (exit 2), not a traceback.
         for path in sorted(Path(expobs.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            found = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
             assert not found, f"{path.name} asserts at lines {found}"
 
     def test_broken_invariant_exits_two(self, capsys, monkeypatch):

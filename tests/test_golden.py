@@ -51,6 +51,27 @@ CONJUGACY = {
     "torus_cat_system": "500558c8831f2a79b7d25f8b35cef8a8ea148e748c05968c69af1177503eb886",
 }
 
+# check-inclusion with window1_cylinder_observable at epsilon 1/8, bound 8.
+INCLUSION = {
+    ("alternating_point", "s"): "9c18e6baf55a8eed5cfe041ab6cc49a5da5362f1ea61ddab8a6db6b157cfb47d",
+    ("alternating_point", "u"): "79fd700a8e98d1c290afd261cc5df4b5079792fae041f658ad5292f164180fcb",
+    ("homoclinic_point", "s"): "812d3b03af164deff7369cd70091a842444f2641d2821af2046d15a8c1fbb6da",
+    ("homoclinic_point", "u"): "e6996e725e77e84f49585f9ac60960d289e754bab7b4a90ef625b4bfe1c1d281",
+}
+
+# circle certify at delta 1/16, then verify of that certificate.
+VERIFIED_OK = "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"
+CIRCLE = {
+    "m0_circle": "87be5d78d67411989f78ad502d9586c214d000bbb18af8a67a39fb8a696a8d26",
+    "plateau_circle": "a6a945e41d4b772acd231d0cde210e5e85b8ddeb350406aacb67bb37f6d77971",
+}
+
+# interval certify at delta 1/16.
+INTERVAL = {
+    "reflection_interval": "676fab854ad4a4fefad19496b4791c3f43fd60467d9e7b2a6829fa2728366c56",
+    "valley_interval": "7e61afcc3645590e2df08046a2e85a6b65a8a6fb6964b10313a0e836d475ea0e",
+}
+
 
 def fixture(name):
     return str(FIXTURES / f"{name}.json")
@@ -83,3 +104,26 @@ def test_conjugacy_along_own_map(system, tmp_path):
     argv = ["conjugacy", "--source", fixture(system), "--target", fixture(system),
             "--map", str(map_path)]
     assert digest_of(argv, tmp_path / "conjugacy.json") == (0, CONJUGACY[system])
+
+
+@pytest.mark.parametrize("point, side", sorted(INCLUSION))
+def test_check_inclusion(point, side, tmp_path):
+    argv = ["symbolic", "check-inclusion", "--point", fixture(point),
+            "--observable", fixture("window1_cylinder_observable"),
+            "--epsilon", "1/8", "--side", side, "--bound", "8", "--alphabet", "01"]
+    assert digest_of(argv, tmp_path / "inclusion.json") == (0, INCLUSION[point, side])
+
+
+@pytest.mark.parametrize("circle", sorted(CIRCLE))
+def test_circle_certify_and_verify(circle, tmp_path):
+    cert = tmp_path / "cert.json"
+    argv = ["circle", "certify", "--map", fixture(circle), "--delta", "1/16"]
+    assert digest_of(argv, cert) == (0, CIRCLE[circle])
+    argv = ["circle", "verify", "--cert", str(cert)]
+    assert digest_of(argv, tmp_path / "verify.json") == (0, VERIFIED_OK)
+
+
+@pytest.mark.parametrize("interval", sorted(INTERVAL))
+def test_interval_certify(interval, tmp_path):
+    argv = ["interval", "certify", "--map", fixture(interval), "--delta", "1/16"]
+    assert digest_of(argv, tmp_path / "cert.json") == (0, INTERVAL[interval])

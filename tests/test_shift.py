@@ -1,9 +1,13 @@
+import importlib
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from expobs.errors import AlphabetMismatch, InvalidDocument, NoPairFound
 from expobs.exact import GaussianRational
 from expobs.shift import (
@@ -25,6 +29,9 @@ from expobs.shift import (
     sym_distance,
     sym_orbit_sup,
 )
+
+# The package exports the function `shift`, which hides the module's name.
+shift_module = importlib.import_module("expobs.shift")
 
 ZERO = EPPoint.make("0")
 ONE = EPPoint.make("1")
@@ -240,6 +247,64 @@ class TestBallInclusion:
         assert report.points_enumerated == 576
         assert report.points_in_ball > 0
         assert report.effective_eps == Fraction(1, 2)
+
+
+RADII = (Fraction(2), Fraction(1), Fraction(1, 3), Fraction(1, 8), Fraction(1, 1000))
+
+
+def _ball_cases():
+    """Seeded bases with tails of length 1-3 and nonzero offsets: 120 over
+    "01" at bounds 5-7, then 6 over "012" at bound 5.  Each base gets one
+    radius per side, cycling through RADII (k = 0, 0, 2, 3, 10), so k runs
+    from 0 to beyond the bound; its observable is a random non-constant
+    table of window 0 or 1."""
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(126):
+        alphabet, bound = ("01", 5 + i % 3) if i < 120 else ("012", 5)
+
+        def word(lo, hi):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+        x = EPPoint.make(word(1, 3), word(0, 3), word(1, 3),
+                         rng.choice((-3, -2, -1, 1, 2, 3)), alphabet)
+        window = i % 2
+        words = ["".join(w) for w in product(alphabet, repeat=2 * window + 1)]
+        values = [rng.randint(0, 2) for _ in words]
+        values[0], values[-1] = 0, 1
+        phi = CylinderObservable.make(
+            window, alphabet, {w: GaussianRational.of(v) for w, v in zip(words, values)}
+        )
+        for side in "su":
+            cases.append((x, phi, RADII[(i + (side == "u")) % len(RADII)], side, bound))
+    return cases
+
+
+class TestBallInclusionOracle:
+    """check_ball_inclusion against one in_dynamical_ball call per point."""
+
+    def test_report_matches_brute_force(self, monkeypatch):
+        for x, phi, eps, side, bound in _ball_cases():
+            ball = oracles.brute_ball(x, eps, side, bound)
+            report = check_ball_inclusion(x, phi, eps, side, bound)
+            assert report.k == snap_epsilon(eps)
+            assert report.points_enumerated == len(enumerate_points(x.alphabet, bound))
+            assert report.points_in_ball == len(ball), (x, eps, side, bound)
+            assert report.counterexamples == tuple(
+                y for y in ball if not obs_stable_equiv(x, y, phi, side)
+            )
+            # A cylinder table cannot produce counterexamples (the theorem
+            # the check confirms), so the in-ball list and its order are
+            # read back through a convergence test that rejects every point.
+            with monkeypatch.context() as patch:
+                patch.setattr(shift_module, "obs_stable_equiv", lambda *args: False)
+                rejected = check_ball_inclusion(x, phi, eps, side, bound)
+            assert rejected.counterexamples == tuple(ball), (x, eps, side, bound)
+
+    def test_rejects_unknown_side(self):
+        with pytest.raises(ValueError):
+            check_ball_inclusion(EPPoint.make("0", alphabet="01"),
+                                 CylinderObservable.injective(0, "01"), Fraction(1), "x", 4)
 
 
 class TestAsymptoticPairs:
