@@ -4,6 +4,7 @@ stability, and transport along conjugacies.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from .relations import (
     delta_star,
     indistinguishability_quotient,
     is_constant_on_blocks,
+    level_ids,
     modulus_at,
     modulus_table,
     separated_pairs,
@@ -23,26 +25,42 @@ from .relations import (
 from .sampling import random_observable, random_scalar
 
 
-def _aligned(phi: Observable, psi: Observable):
+# Each operation runs once per level class, or once per pair of classes that
+# meet, and the results are laid out over phi's entries in phi's entry order.
+
+
+def _combine(phi: Observable, psi: Observable, op) -> Observable:
     if phi.domain() != psi.domain():
         raise DomainMismatch("observables live on different point sets")
-    return [(p, v, psi[p]) for p, v in phi.entries]
+    ids_phi, values_phi = phi.levels
+    values_psi = psi.levels[1]
+    pairs = list(zip(ids_phi, level_ids(psi, phi.points)))
+    results = {}
+    for a, b in pairs:
+        if (a, b) not in results:
+            results[a, b] = op(values_phi[a], values_psi[b])
+    return Observable._from_classes(phi.points, pairs, results)
+
+
+def _map_values(phi: Observable, op) -> Observable:
+    ids, values = phi.levels
+    return Observable._from_classes(phi.points, ids, [op(v) for v in values])
 
 
 def obs_add(phi: Observable, psi: Observable) -> Observable:
-    return Observable(tuple((p, a + b) for p, a, b in _aligned(phi, psi)))
+    return _combine(phi, psi, operator.add)
 
 
 def obs_mul(phi: Observable, psi: Observable) -> Observable:
-    return Observable(tuple((p, a * b) for p, a, b in _aligned(phi, psi)))
+    return _combine(phi, psi, operator.mul)
 
 
 def obs_scale(lam: GaussianRational, phi: Observable) -> Observable:
-    return Observable(tuple((p, lam * v) for p, v in phi.entries))
+    return _map_values(phi, lambda v: lam * v)
 
 
 def obs_conjugate(phi: Observable) -> Observable:
-    return Observable(tuple((p, v.conjugate()) for p, v in phi.entries))
+    return _map_values(phi, GaussianRational.conjugate)
 
 
 # --- law suite ---------------------------------------------------------------
@@ -227,27 +245,31 @@ class Conjugacy:
         return dict(self.pairs)
 
     def is_isometry(self) -> bool:
-        h = self.h
-        pts = self.source.points
+        images = _image_indices(self)
+        source, target = self.source.metric, self.target.metric
         return all(
-            self.source.dist(a, b) == self.target.dist(h[a], h[b])
-            for i, a in enumerate(pts)
-            for b in pts[i + 1:]
+            source[i][j] == target[images[i]][images[j]]
+            for i in range(len(images))
+            for j in range(i + 1, len(images))
         )
 
 
 def transport(conj: Conjugacy, phi: Observable) -> Observable:
     """Pull phi on the target back to the source: (H phi)(y) = phi(h(y))."""
     check_domain(conj.target, phi)
-    h = conj.h
-    return Observable(tuple((y, phi[h[y]]) for y in conj.source.points))
+    ids = level_ids(phi, tuple(image for _, image in conj.pairs))
+    return Observable._from_classes(conj.source.points, ids, phi.levels[1])
+
+
+def _image_indices(conj: Conjugacy) -> list:
+    """Target index of h(y) for each source index y."""
+    return [conj.target.index(image) for _, image in conj.pairs]
 
 
 def omega_h_table(conj: Conjugacy) -> tuple:
     """((t, omega_h(t)), ...) over the realized source distances t."""
-    target = conj.target
-    images = [target.index(image) for _, image in conj.pairs]
-    metric = target.metric
+    images = _image_indices(conj)
+    metric = conj.target.metric
     return modulus_table(conj.source, lambda i, j: metric[images[i]][images[j]])
 
 

@@ -82,12 +82,15 @@ class FiniteSystem:
     def orbit_cycles(self) -> tuple:
         """Pair cycles of (a, b) |-> (f a, f b), each with its orbit sup-distance.
 
-        Returns ((D, cycle), ...).  A cycle is a tuple of index pairs (i, j)
-        with i < j in first-visit order, and cycles follow the document order
-        of their smallest seed pair.  D is the metric maximum over the cycle,
-        which is D(x, y) for every pair on it.  Distinct points never meet the
-        diagonal (f is a bijection), so every distance along a cycle is
-        positive.  Every threshold query reads this one structure.
+        Returns ((D, cycle), ...) sorted stably by D, ascending.  A cycle is a
+        tuple of index pairs (i, j) with i < j in first-visit order, and cycles
+        with equal D keep the document order of their smallest seed pair.  D
+        is the metric maximum over the cycle, which is D(x, y) for every pair
+        on it.  Distinct points never meet the diagonal (f is a bijection), so
+        every distance along a cycle is positive.  Every threshold query reads
+        this one structure: e* is the first D, delta* of an observable is the D
+        of the first cycle it separates, and the pairs with D <= delta are the
+        cycles of a prefix.
         """
         n, perm, metric = self.n, self.perm, self.metric
         seen = [[False] * n for _ in range(n)]
@@ -107,6 +110,7 @@ class FiniteSystem:
                     if (a, b) == (i, j):
                         break
                 cycles.append((max(metric[p][q] for p, q in cycle), tuple(cycle)))
+        cycles.sort(key=lambda entry: entry[0])
         return tuple(cycles)
 
     @cached_property
@@ -264,6 +268,25 @@ class Observable:
         return cls(tuple(zip(system.points, vals)))
 
     @classmethod
+    def _from_classes(cls, points: Iterable, ids: Iterable, class_values) -> "Observable":
+        """The observable taking class_values[c] at each point of class c.
+
+        points and ids run in step; class_values maps each class to its value.
+        The levels come with it: classes are renumbered by first appearance
+        and classes of equal value merged, so only the class values are
+        hashed, not each entry.
+        """
+        merged, renumbered, level_ids, entries = {}, {}, [], []
+        for p, c in zip(points, ids):
+            if c not in renumbered:
+                renumbered[c] = merged.setdefault(class_values[c], len(merged))
+            level_ids.append(renumbered[c])
+            entries.append((p, class_values[c]))
+        phi = cls(tuple(entries))
+        object.__setattr__(phi, "levels", (tuple(level_ids), tuple(merged)))
+        return phi
+
+    @classmethod
     def constant(cls, system: FiniteSystem, value: GaussianRational) -> "Observable":
         return cls.from_values(system, [value] * system.n)
 
@@ -276,6 +299,20 @@ class Observable:
             return self._lookup[point]
         except KeyError:
             raise UnknownPoint(f"observable undefined at {point!r}") from None
+
+    @cached_property
+    def levels(self) -> tuple:
+        """The level classes of phi as (ids, values).
+
+        ids[k] is the class of entries[k], classes numbered by first
+        appearance, and values[c] is the value every entry of class c takes.
+        Queries and the algebra compare and combine these small ints.  Each
+        entry's value is hashed once, here, unless `_from_classes` built phi
+        and handed it its levels.
+        """
+        classes = {}
+        ids = tuple(classes.setdefault(v, len(classes)) for _, v in self.entries)
+        return ids, tuple(classes)
 
     @property
     def points(self) -> tuple:

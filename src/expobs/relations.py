@@ -5,8 +5,13 @@ Because the map is a bijection of a finite set, the pair walk
 (a, b) |-> (f a, f b) is a permutation of ordered pairs, so the supremum is a
 maximum over one pair-cycle and the forward walk already covers all integer
 iterates (negative ones included).  Each system keeps its pair cycles with
-their D values (`FiniteSystem.orbit_cycles`), and the threshold queries here
-read that one structure.  The moduli (omega_map, omega_obs, and omega_h in
+their D values, sorted by D (`FiniteSystem.orbit_cycles`), and the threshold
+queries here read that one structure: e* is the first D, delta*(phi) is the D
+of the first cycle that holds a pair in two different level classes of phi,
+and a quotient unions the cycles of a prefix.  Observables enter as their
+level classes (`Observable.levels`): small ints are compared in place of
+Gaussian rationals, and squared oscillations are ints over one common
+denominator.  The moduli (omega_map, omega_obs, and omega_h in
 `algebra`) are tables from one sweep over the pairs sorted by distance
 (`FiniteSystem.pairs_by_distance`); a single-t modulus is a lookup into its
 table.
@@ -14,12 +19,13 @@ table.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 
-from .errors import DegenerateSpace
+from .errors import DegenerateSpace, UnknownPoint
 from .exact import INF, ExtScalar
 from .model import FiniteSystem, Observable, check_domain
 
@@ -28,7 +34,8 @@ def pair_cycles(system: FiniteSystem) -> list:
     """Unordered point pairs split into orbits of (a, b) -> (f a, f b).
 
     A list of cycles, each a list of index pairs (i, j) with i < j, in the
-    order of `FiniteSystem.orbit_cycles`.
+    order of `FiniteSystem.orbit_cycles`: ascending by orbit sup-distance D,
+    ties in document order of their smallest seed pair.
     """
     return [list(cycle) for _, cycle in system.orbit_cycles]
 
@@ -83,45 +90,61 @@ def e_star(system: FiniteSystem) -> Fraction:
     """The separation constant min_{x != y} D(x, y)."""
     if system.n < 2:
         raise DegenerateSpace("e* needs at least two points")
-    return min(d for d, _ in system.orbit_cycles)
+    return system.orbit_cycles[0][0]
+
+
+def level_ids(phi: Observable, points: tuple) -> tuple:
+    """The level class ids of phi (`Observable.levels`) listed in the order
+    of `points`, which must be phi's own points; the ids are reordered only
+    when phi's entries come in another order."""
+    ids = phi.levels[0]
+    if phi.points == points:
+        return ids
+    class_of = dict(zip(phi.points, ids))
+    return tuple(class_of[p] for p in points)
+
+
+def _system_level_ids(system: FiniteSystem, phi: Observable) -> tuple:
+    """phi's level class ids in the system's document order."""
+    check_domain(system, phi)
+    return level_ids(phi, system.points)
 
 
 def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     """Expansivity constant of phi: min D(x, y) over pairs phi separates.
 
-    INF for observables that separate nothing (constants); phi is then
-    delta-expansive for every delta.  phi is delta-expansive exactly when
-    delta < delta_star(phi) (strict, because orbit closeness is a <= condition).
+    The pair cycles are sorted by D, so this is the D of the first cycle that
+    holds a pair in two different level classes.  INF for observables that
+    separate nothing (constants); phi is then delta-expansive for every delta.
+    phi is delta-expansive exactly when delta < delta_star(phi) (strict,
+    because orbit closeness is a <= condition).
     """
-    check_domain(system, phi)
-    vals = [phi[p] for p in system.points]
-    return min(
-        (
-            d
-            for d, cycle in system.orbit_cycles
-            if any(vals[i] != vals[j] for i, j in cycle)
-        ),
-        default=INF,
-    )
+    ids = _system_level_ids(system, phi)
+    for d, cycle in system.orbit_cycles:
+        if any(ids[i] != ids[j] for i, j in cycle):
+            return d
+    return INF
 
 
-def _value_classes(system: FiniteSystem, phi: Observable):
-    """Class id of each point's value, and the squared moduli between classes.
+def _oscillations(system: FiniteSystem, phi: Observable):
+    """Level classes of phi and the squared oscillations between them, as ints.
 
-    Returns (ids, osc): ids[i] names the value of phi at point i, and
-    osc[a][b] = |value_a - value_b|^2, computed once per pair of distinct
-    values.
+    Returns (ids, rows, scale): ids[i] is the class of point i, and
+    rows[i][c] * scale = |phi(x_i) - value_c|^2 exactly, an int per pair of
+    classes computed over one common denominator L of the values (scale is
+    1/L^2).  The ints order like the squared moduli they stand for, so maxima
+    and minima are taken over ints and only the winner becomes a Fraction.
     """
-    check_domain(system, phi)
-    ids, classes = [], {}
-    for p in system.points:
-        ids.append(classes.setdefault(phi[p], len(classes)))
-    values = list(classes)
-    osc = [[Fraction(0)] * len(values) for _ in values]
-    for a, va in enumerate(values):
-        for b in range(a + 1, len(values)):
-            osc[a][b] = osc[b][a] = (va - values[b]).abs_sq()
-    return ids, osc
+    ids = _system_level_ids(system, phi)
+    values = phi.levels[1]
+    den = math.lcm(*(part.denominator for v in values for part in (v.real, v.imag)))
+    re = [v.real.numerator * (den // v.real.denominator) for v in values]
+    im = [v.imag.numerator * (den // v.imag.denominator) for v in values]
+    osc = [
+        [(ra - rb) ** 2 + (ia - ib) ** 2 for rb, ib in zip(re, im)]
+        for ra, ia in zip(re, im)
+    ]
+    return ids, [osc[c] for c in ids], Fraction(1, den * den)
 
 
 def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
@@ -131,24 +154,35 @@ def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     Squared moduli keep Gaussian-rational magnitudes inside the rationals;
     compare against other squared quantities only.  Every pair of a pair-cycle
     shares the cycle maximum, and a cycle holds a phi-separated pair exactly
-    when that maximum is positive, so the minimum runs over cycles.
+    when that maximum is positive, so the minimum runs over cycles.  Both are
+    taken over the integer oscillations of `_oscillations`, and a cycle is
+    left as soon as one of its pairs reaches the best maximum so far.
     """
-    ids, osc = _value_classes(system, phi)
-    maxima = (
-        max(osc[ids[i]][ids[j]] for i, j in cycle)
-        for _, cycle in system.orbit_cycles
-    )
-    return min((m for m in maxima if m > 0), default=INF)
+    ids, rows, scale = _oscillations(system, phi)
+    best = 0
+    for _, cycle in system.orbit_cycles:
+        top = 0
+        for i, j in cycle:
+            w = rows[i][ids[j]]
+            if w > top:
+                if best and w >= best:
+                    break
+                top = w
+        else:
+            if top:
+                best = top
+    return best * scale if best else INF
 
 
 def modulus_table(system: FiniteSystem, weight) -> tuple:
     """((t, max weight(i, j) over pairs with d(x_i, x_j) <= t), ...) for every
     realized distance t, ascending: one running-maximum sweep over
-    `FiniteSystem.pairs_by_distance`, starting from 0.
+    `FiniteSystem.pairs_by_distance`, starting from 0.  Weights are
+    nonnegative ints or Fractions.
     """
     metric = system.metric
     table = []
-    best = Fraction(0)
+    best = 0
     for i, j in system.pairs_by_distance:
         w = weight(i, j)
         if w > best:
@@ -183,8 +217,9 @@ def omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
 
 def omega_obs_table(system: FiniteSystem, phi: Observable) -> tuple:
     """((t, omega_obs(phi, t)), ...) over the realized distances t."""
-    ids, osc = _value_classes(system, phi)
-    return modulus_table(system, lambda i, j: osc[ids[i]][ids[j]])
+    ids, rows, scale = _oscillations(system, phi)
+    table = modulus_table(system, lambda i, j: rows[i][ids[j]])
+    return tuple((t, w * scale) for t, w in table)
 
 
 def omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fraction:
@@ -238,10 +273,12 @@ def indistinguishability_quotient(system: FiniteSystem, delta: Fraction) -> Quot
 
     An observable is delta-expansive on the system exactly when it is constant
     on every block; the blocks are a complete characterization, not a bound.
+    The cycles with D <= delta are a prefix of the sorted pair cycles.
     """
     if delta < 0:
         raise ValueError("threshold must be >= 0")
-    edges = (pair for d, cycle in system.orbit_cycles if d <= delta for pair in cycle)
+    prefix = takewhile(lambda entry: entry[0] <= delta, system.orbit_cycles)
+    edges = (pair for _, cycle in prefix for pair in cycle)
     return Quotient(Fraction(delta), _components(system, edges))
 
 
@@ -267,10 +304,14 @@ def pointwise_constants(system: FiniteSystem) -> dict:
 
 
 def is_constant_on_blocks(phi: Observable, quotient: Quotient) -> bool:
-    for block in quotient.blocks:
-        first = phi[block[0]]
-        if any(phi[p] != first for p in block[1:]):
-            return False
+    class_of = dict(zip(phi.points, phi.levels[0]))
+    try:
+        for block in quotient.blocks:
+            first = class_of[block[0]]
+            if any(class_of[p] != first for p in block[1:]):
+                return False
+    except KeyError as exc:
+        raise UnknownPoint(f"observable undefined at {exc.args[0]!r}") from None
     return True
 
 
@@ -326,23 +367,21 @@ class PeriodicLevelReport:
 
 
 def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> PeriodicLevelReport:
-    check_domain(system, phi)
+    ids = _system_level_ids(system, phi)
     fixed = fixed_points(system, k)
     power = power_system(system, k)
     dstar_k = delta_star(power, phi)
-    distinct = []
-    for p in fixed:
-        if phi[p] not in distinct:
-            distinct.append(phi[p])
+    fixed_ids = [system.index(p) for p in fixed]
+    distinct = dict.fromkeys(ids[i] for i in fixed_ids)
     violations = []
-    for a_i, x in enumerate(fixed):
-        for y in fixed[a_i + 1:]:
-            if system.dist(x, y) < dstar_k and phi[x] != phi[y]:
-                violations.append((x, y))
+    for a_i, i in enumerate(fixed_ids):
+        for j in fixed_ids[a_i + 1:]:
+            if ids[i] != ids[j] and system.metric[i][j] < dstar_k:
+                violations.append((system.points[i], system.points[j]))
     return PeriodicLevelReport(
         k=k,
         fixed=fixed,
-        distinct_values=tuple(distinct),
+        distinct_values=tuple(phi.levels[1][c] for c in distinct),
         delta_star_power=dstar_k,
         holds=not violations,
         violations=tuple(violations),
@@ -384,11 +423,10 @@ def gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
 
 def separated_pairs(system: FiniteSystem, phi: Observable) -> tuple:
     """Index pairs (i, j), i < j, with phi(x_i) != phi(x_j)."""
-    check_domain(system, phi)
-    vals = [phi[p] for p in system.points]
+    ids = _system_level_ids(system, phi)
     return tuple(
         (i, j)
         for i in range(system.n)
         for j in range(i + 1, system.n)
-        if vals[i] != vals[j]
+        if ids[i] != ids[j]
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
 
 from . import __version__
 from .errors import DegenerateSpace
@@ -70,7 +71,7 @@ def analyze(
     thresholds = tuple(Fraction(t) for t in thresholds)
     estar = e_star(system)
     constants = pointwise_constants(system)
-    realized_orbit = tuple(sorted({d for d, _ in system.orbit_cycles}))
+    realized_orbit = tuple(d for d, _ in groupby(d for d, _ in system.orbit_cycles))
 
     report = {
         "report": "analysis",

@@ -78,8 +78,8 @@ def random_isometric_system(rng: random.Random, max_points: int = 12) -> FiniteS
 
 
 def random_observable(rng: random.Random, system: FiniteSystem) -> Observable:
-    values = [PALETTE[rng.randrange(len(PALETTE))] for _ in system.points]
-    return Observable.from_values(system, values)
+    ids = [rng.randrange(len(PALETTE)) for _ in system.points]
+    return Observable._from_classes(system.points, ids, PALETTE)
 
 
 def random_scalar(rng: random.Random) -> GaussianRational:

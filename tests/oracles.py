@@ -69,6 +69,78 @@ def brute_delta_star(system: FiniteSystem, phi: Observable):
     return INF if best is None else best
 
 
+def brute_sigma_star(system: FiniteSystem, phi: Observable):
+    """min over value-separated pairs of the largest |phi(f^n x) - phi(f^n y)|^2
+    along the pair's orbit; INF if phi is constant."""
+    vals = [phi[p] for p in system.points]
+    best = None
+    for i in range(system.n):
+        for j in range(i + 1, system.n):
+            if vals[i] != vals[j]:
+                top = max((vals[a] - vals[b]).abs_sq() for a, b in orbit_pairs(system, i, j))
+                if best is None or top < best:
+                    best = top
+    return INF if best is None else best
+
+
+def brute_orbit_cycles(system: FiniteSystem) -> tuple:
+    """((D, cycle), ...): each unvisited pair i < j in document order seeds
+    its cycle, walked in first-visit order, and the cycles are then sorted
+    stably by D."""
+    seen = set()
+    cycles = []
+    for i in range(system.n):
+        for j in range(i + 1, system.n):
+            if (i, j) in seen:
+                continue
+            cycle = []
+            for a, b in orbit_pairs(system, i, j):
+                pair = (min(a, b), max(a, b))
+                if pair not in seen:
+                    seen.add(pair)
+                    cycle.append(pair)
+            cycles.append((brute_orbit_sup(system, i, j), tuple(cycle)))
+    return tuple(sorted(cycles, key=lambda entry: entry[0]))
+
+
+def brute_separated_pairs(system: FiniteSystem, phi: Observable) -> tuple:
+    vals = [phi[p] for p in system.points]
+    return tuple(
+        (i, j)
+        for i in range(system.n)
+        for j in range(i + 1, system.n)
+        if vals[i] != vals[j]
+    )
+
+
+def pointwise(phi: Observable, psi: Observable, op) -> Observable:
+    """phi op psi entry by entry, in phi's entry order."""
+    return Observable(tuple((p, op(a, psi[p])) for p, a in phi.entries))
+
+
+def pointwise_map(phi: Observable, op) -> Observable:
+    return Observable(tuple((p, op(v)) for p, v in phi.entries))
+
+
+def brute_periodic_level(system: FiniteSystem, phi: Observable, k: int, dstar_k):
+    """(distinct values, violations) over the k-fixed points by comparing
+    values: values in order of first appearance, violating pairs (x, y) in
+    document order with d(x, y) < dstar_k and phi(x) != phi(y)."""
+    power = brute_power_perm(system, k)
+    fixed = [p for i, p in enumerate(system.points) if power[i] == i]
+    distinct = []
+    for p in fixed:
+        if phi[p] not in distinct:
+            distinct.append(phi[p])
+    violations = [
+        (x, y)
+        for a, x in enumerate(fixed)
+        for y in fixed[a + 1:]
+        if system.dist(x, y) < dstar_k and phi[x] != phi[y]
+    ]
+    return tuple(distinct), tuple(violations)
+
+
 def brute_is_expansive(system: FiniteSystem, phi: Observable, delta: Fraction) -> bool:
     """Level sets absorb delta-close orbit pairs: whenever the whole orbit of a
     pair stays within delta, the observable agrees along that whole orbit.
@@ -149,13 +221,22 @@ def brute_gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
 def brute_chain_components(system: FiniteSystem, t: Fraction) -> tuple:
     """Blocks of the graph d(x, y) <= t by repeated relabelling to the least
     reachable index, each block in document order, blocks by first point."""
+    return _brute_blocks(system, lambda i, j: system.metric[i][j] <= t)
+
+
+def brute_quotient_blocks(system: FiniteSystem, delta: Fraction) -> tuple:
+    """Blocks of the graph D(x, y) <= delta, D by iterating the map."""
+    return _brute_blocks(system, lambda i, j: brute_orbit_sup(system, i, j) <= delta)
+
+
+def _brute_blocks(system: FiniteSystem, linked) -> tuple:
     label = list(range(system.n))
     changed = True
     while changed:
         changed = False
         for i in range(system.n):
             for j in range(system.n):
-                if i != j and system.metric[i][j] <= t and label[j] < label[i]:
+                if i != j and label[j] < label[i] and linked(i, j):
                     label[i] = label[j]
                     changed = True
     blocks = {}

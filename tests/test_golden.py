@@ -43,6 +43,27 @@ ANALYZE = {
     ),
 }
 
+# dstar on each fixture system/observable pair.
+DSTAR = {
+    ("line_swap_system", "line_swap_distance_observable"): "0c88809c7a474cd6e77d30381b063690b8cb252544f606ff8554db06daaaf12a",
+    ("line_swap_system", "line_swap_split_observable"): "54d96b8ce551c47d55305f42d0eb2ec0dbba2bab1f34bc594ab658098b1f638e",
+    ("random_system_0", "random_observable_0"): "897e742335ffec997613a8c2717374079d2cd7661454e59141c55a279ce25c0e",
+    ("random_system_1", "random_observable_1"): "9f7f9e1eb301c0a9f51cfb43ba28f023146ffddcf30df06e81ec1f246c3fd63a",
+    ("random_system_2", "random_observable_2"): "acb99fa62150019a57e54e68fe85528aed676da1d0d2be40930c62f67d437e75",
+}
+
+# quotient at realized orbit distances: every one of torus_cat (it has one)
+# and random_system_1 (two), the 1st and 3rd of the others.
+QUOTIENT = {
+    ("line_swap_system", "1"): "15c1f77ff230daa8df3ae6585015075254b1d0ce09938bf8a310f35a5819b60d",
+    ("line_swap_system", "3"): "806fa49715ce0aa014edde68578cb2e3d8e706067f611f87bf742d5ee8796308",
+    ("random_system_1", "3"): "b8b15546f6dad37a620d56b19374dbbce2b94ee47b30c2501745630acb8854c7",
+    ("random_system_1", "7/2"): "d7977b7dc560ff77b4dce825ec28cca759df9983e6e9cee5dd47968bce13cf19",
+    ("rotation_grid_8_system", "1/8"): "e8a7d9c241d3b96c835119177adc3ac6d076925829c4de1b14ab9eb0448527f3",
+    ("rotation_grid_8_system", "3/8"): "cef23dfb1151bad9b3d139dbfa17347ef44332ab70538fe82ae39a64e57c3e59",
+    ("torus_cat_system", "2/5"): "36c4032c3e6348ed1faa68a9da4635b013350d5103915c7b3dfbdd716b6b7da4",
+}
+
 LAWS_DIGEST = "b7f1dd8fa206b2e8f1493abecd53cbbc187476f9e047be1ce3a03db808093bc4"
 
 # Each system conjugated to itself along its own map.
@@ -89,6 +110,18 @@ def test_analyze_fixture(system, tmp_path):
     for name in observables:
         argv += ["--observable", fixture(name)]
     assert digest_of(argv, tmp_path / "report.json") == (0, expected)
+
+
+@pytest.mark.parametrize("system, observable", sorted(DSTAR))
+def test_dstar_fixture(system, observable, tmp_path):
+    argv = ["dstar", "--system", fixture(system), "--observable", fixture(observable)]
+    assert digest_of(argv, tmp_path / "dstar.json") == (0, DSTAR[system, observable])
+
+
+@pytest.mark.parametrize("system, threshold", sorted(QUOTIENT))
+def test_quotient_fixture(system, threshold, tmp_path):
+    argv = ["quotient", "--system", fixture(system), "--threshold", threshold]
+    assert digest_of(argv, tmp_path / "quotient.json") == (0, QUOTIENT[system, threshold])
 
 
 def test_laws_torus_cat(tmp_path):

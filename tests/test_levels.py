@@ -1,0 +1,248 @@
+"""Observables as level classes, and the pair cycles sorted by D.
+
+The threshold queries read `FiniteSystem.orbit_cycles` sorted by orbit
+sup-distance and compare the int class ids of `Observable.levels`; the algebra
+combines values once per class.  Everything here is checked against the brute
+oracles, which compare and combine the Gaussian rationals point by point.
+"""
+
+import json
+import random
+
+import pytest
+
+import oracles
+from expobs.algebra import (
+    Conjugacy,
+    obs_add,
+    obs_conjugate,
+    obs_mul,
+    obs_scale,
+    transport,
+)
+from expobs.errors import UnknownPoint
+from expobs.exact import GR_ZERO, INF, GaussianRational
+from expobs.model import FiniteSystem, Observable, parse_observable, serialize_observable
+from expobs.relations import (
+    delta_star,
+    e_star,
+    indistinguishability_quotient,
+    is_constant_on_blocks,
+    omega_obs_table,
+    pair_cycles,
+    periodic_level_report,
+    separated_pairs,
+    sigma_star,
+)
+from expobs.sampling import PALETTE, random_observable, random_scalar
+
+
+def shuffled(phi, rng):
+    entries = list(phi.entries)
+    rng.shuffle(entries)
+    return Observable(tuple(entries))
+
+
+def parsed(phi):
+    """phi through its JSON document, parsed without a system."""
+    return parse_observable(json.dumps(serialize_observable(phi)))
+
+
+def observable_forms(system, seed):
+    """Observables in document order, shuffled, and parsed without a
+    system, plus constants and an observable with one odd point."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(3):
+        phi = random_observable(rng, system)
+        forms += [phi, shuffled(phi, rng), parsed(shuffled(phi, rng))]
+    odd = [GaussianRational.of(0)] * system.n
+    odd[rng.randrange(system.n)] = GaussianRational.of(1, -2)
+    forms.append(shuffled(Observable.from_values(system, odd), rng))
+    for value in (GR_ZERO, GaussianRational.of(3, 7)):
+        constant = Observable.constant(system, value)
+        forms += [constant, parsed(shuffled(constant, rng))]
+    return forms
+
+
+def relabelled(system, rng):
+    """The same system under new labels, listed in shuffled document order."""
+    order = list(range(system.n))
+    rng.shuffle(order)
+    label = {p: f"r{p}" for p in system.points}
+    points = [label[system.points[i]] for i in order]
+    rows = [[system.metric[i][j] for j in order] for i in order]
+    mapping = {label[p]: label[system.apply(p)] for p in system.points}
+    return FiniteSystem.build(points, rows, mapping), label
+
+
+class TestLevelQueries:
+    def test_delta_star(self, small_corpus):
+        for idx, system in enumerate(small_corpus):
+            for phi in observable_forms(system, 500 + idx):
+                assert delta_star(system, phi) == oracles.brute_delta_star(system, phi)
+
+    def test_sigma_star(self, small_corpus):
+        for idx, system in enumerate(small_corpus):
+            for phi in observable_forms(system, 600 + idx):
+                assert sigma_star(system, phi) == oracles.brute_sigma_star(system, phi)
+
+    def test_constants_give_inf(self, small_corpus):
+        for system in small_corpus:
+            phi = parsed(Observable.constant(system, GaussianRational.of(1, 1)))
+            assert delta_star(system, phi) is INF
+            assert sigma_star(system, phi) is INF
+            assert oracles.brute_sigma_star(system, phi) is INF
+
+    def test_omega_obs_table(self, small_corpus):
+        for idx, system in enumerate(small_corpus):
+            for phi in observable_forms(system, 700 + idx):
+                table = omega_obs_table(system, phi)
+                assert [t for t, _ in table] == list(system.realized_distances())
+                for t, w in table:
+                    assert w == oracles.brute_omega_obs(system, phi, t)
+
+    def test_separated_pairs(self, small_corpus):
+        for idx, system in enumerate(small_corpus):
+            for phi in observable_forms(system, 800 + idx):
+                assert separated_pairs(system, phi) == oracles.brute_separated_pairs(
+                    system, phi
+                )
+
+    def test_periodic_levels(self, small_corpus):
+        for idx, system in enumerate(small_corpus[:20]):
+            for phi in observable_forms(system, 900 + idx)[:6]:
+                for k in (1, 2, 3):
+                    report = periodic_level_report(system, phi, k)
+                    expected = oracles.brute_periodic_level(
+                        system, phi, k, report.delta_star_power
+                    )
+                    assert (report.distinct_values, report.violations) == expected
+
+    def test_constant_on_blocks_unknown_point(self, l4):
+        quotient = indistinguishability_quotient(l4, 3)
+        partial = Observable(tuple((p, GR_ZERO) for p in l4.points[:3]))
+        with pytest.raises(UnknownPoint):
+            is_constant_on_blocks(partial, quotient)
+
+
+class TestObservableLevels:
+    def test_ids_by_first_appearance(self):
+        a, b, c = (GaussianRational.of(v) for v in (2, 0, 1))
+        phi = Observable((("x", a), ("y", b), ("z", a), ("w", c), ("v", b)))
+        assert phi.levels == ((0, 1, 0, 2, 1), (a, b, c))
+
+    def test_entries_match_their_levels(self, small_corpus):
+        rng = random.Random(41)
+        for system in small_corpus:
+            phi, psi = random_observable(rng, system), random_observable(rng, system)
+            lam = random_scalar(rng)
+            psi_shuffled = shuffled(psi, rng)
+            conj = Conjugacy.build(system, system, {p: system.apply(p) for p in system.points})
+            for result in (
+                phi,
+                obs_add(phi, psi_shuffled),
+                obs_mul(psi_shuffled, phi),
+                obs_scale(lam, psi_shuffled),
+                obs_scale(GR_ZERO, phi),
+                obs_conjugate(phi),
+                transport(conj, phi),
+            ):
+                # A fresh observable on the same entries computes its levels
+                # from scratch.
+                assert result.levels == Observable(result.entries).levels
+                ids, values = result.levels
+                assert [values[c] for c in ids] == list(result.values)
+
+    def test_palette_observable_has_no_unused_class(self, small_corpus):
+        rng = random.Random(43)
+        for system in small_corpus:
+            ids, values = random_observable(rng, system).levels
+            assert sorted(set(ids)) == list(range(len(values)))
+            assert set(values) <= set(PALETTE)
+
+
+class TestAlgebraPerClass:
+    """Each operation equals its pointwise definition, entry for entry."""
+
+    def test_operations_match_pointwise(self, small_corpus):
+        rng = random.Random(47)
+        for system in small_corpus:
+            for _ in range(3):
+                phi = random_observable(rng, system)
+                psi = shuffled(random_observable(rng, system), rng)
+                for lam in (random_scalar(rng), GR_ZERO):
+                    assert obs_scale(lam, psi).entries == oracles.pointwise_map(
+                        psi, lambda v: lam * v
+                    ).entries
+                for a, b in ((phi, psi), (psi, phi), (parsed(psi), phi)):
+                    assert obs_add(a, b).entries == oracles.pointwise(
+                        a, b, lambda x, y: x + y
+                    ).entries
+                    assert obs_mul(a, b).entries == oracles.pointwise(
+                        a, b, lambda x, y: x * y
+                    ).entries
+                assert obs_conjugate(psi).entries == oracles.pointwise_map(
+                    psi, GaussianRational.conjugate
+                ).entries
+
+    def test_zero_scale_is_one_class(self, l4):
+        phi = Observable.from_values(l4, [GaussianRational.of(v) for v in (0, 1, 2, 3)])
+        zero = obs_scale(GR_ZERO, phi)
+        assert zero.levels == ((0, 0, 0, 0), (GR_ZERO,))
+        assert delta_star(l4, zero) is INF
+
+    def test_transport_matches_pointwise(self, small_corpus):
+        rng = random.Random(53)
+        for system in small_corpus:
+            target, label = relabelled(system, rng)
+            conj = Conjugacy.build(system, target, label)
+            phi = shuffled(random_observable(rng, target), rng)
+            assert transport(conj, phi).entries == tuple(
+                (y, phi[label[y]]) for y in system.points
+            )
+
+
+class TestCycleOrder:
+    def test_orbit_cycles_match_oracle(self, small_corpus):
+        for system in small_corpus:
+            assert system.orbit_cycles == oracles.brute_orbit_cycles(system)
+
+    def test_sorted_with_ties_in_first_visit_order(self, small_corpus):
+        for system in small_corpus:
+            cycles = system.orbit_cycles
+            for (d, cycle), (d_next, cycle_next) in zip(cycles, cycles[1:]):
+                assert d <= d_next
+                if d == d_next:
+                    assert cycle[0] < cycle_next[0]
+            for d, cycle in cycles:
+                assert cycle[0] == min(cycle)
+                assert d == max(system.metric[i][j] for i, j in cycle)
+
+    def test_cycles_partition_pairs(self, small_corpus):
+        for system in small_corpus:
+            pairs = [pair for cycle in pair_cycles(system) for pair in cycle]
+            assert sorted(pairs) == [
+                (i, j) for i in range(system.n) for j in range(i + 1, system.n)
+            ]
+            assert [list(c) for _, c in system.orbit_cycles] == pair_cycles(system)
+
+    def test_e_star_and_quotients(self, small_corpus):
+        for system in small_corpus:
+            assert e_star(system) == oracles.brute_e_star(system)
+            realized = oracles.all_realized_orbit_sups(system)
+            for delta in (realized[0] / 2, *realized):
+                quotient = indistinguishability_quotient(system, delta)
+                assert quotient.blocks == oracles.brute_quotient_blocks(system, delta)
+
+    def test_is_isometry(self, small_corpus):
+        rng = random.Random(59)
+        for system in small_corpus:
+            target, label = relabelled(system, rng)
+            assert Conjugacy.build(system, target, label).is_isometry()
+            along_f = Conjugacy.build(system, system, {p: system.apply(p) for p in system.points})
+            assert along_f.is_isometry() == all(
+                system.dist(a, b) == system.dist(system.apply(a), system.apply(b))
+                for a in system.points
+                for b in system.points
+            )
