@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,12 +225,16 @@ class Conjugacy:
     def build(cls, source: FiniteSystem, target: FiniteSystem, mapping) -> "Conjugacy":
         if source.n != target.n:
             raise NotAConjugacy("spaces have different sizes")
+        target_points = set(target.points)
         images = []
         for y in source.points:
             if y not in mapping:
                 raise NotAConjugacy(f"h undefined at {y!r}")
-            images.append(mapping[y])
-        if set(images) != set(target.points):
+            image = mapping[y]
+            if not isinstance(image, Hashable) or image not in target_points:
+                raise NotAConjugacy(f"h sends {y!r} outside the target points: {image!r}")
+            images.append(image)
+        if set(images) != target_points:
             raise NotAConjugacy("h is not a bijection onto the target points")
         h = dict(zip(source.points, images))
         for y in source.points:

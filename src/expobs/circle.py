@@ -7,14 +7,20 @@ wandering intervals come out exact.  A certificate pins down a probe interval
 whose iterates stay below a requested diameter for every integer time: the
 finite trace covers |n| <= N and an affine contraction span at both ends
 guarantees the infinite tails.
+
+A lift keeps its node lists (breakpoints and lift values, closed by the node
+(1, F(0) + 1)) in one cached pair.  The lift is strictly increasing, so one
+interpolation reads the pair forward for F and backward for its inverse.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -56,24 +62,9 @@ def _floor(x: Fraction) -> int:
 def _interp(xs, ys, x: Fraction) -> Fraction:
     if not xs[0] <= x <= xs[-1]:
         raise ValueError(f"{x} outside [{xs[0]}, {xs[-1]}]")
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
-    x1, x2, y1, y2 = xs[lo], xs[lo + 1], ys[lo], ys[lo + 1]
+    i = min(bisect_right(xs, x), len(xs) - 1)
+    x1, x2, y1, y2 = xs[i - 1], xs[i], ys[i - 1], ys[i]
     return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
-
-
-def _inverse_interp(xs, ys, y: Fraction) -> Fraction:
-    """Preimage under a strictly increasing PL node list."""
-    for i in range(len(xs) - 1):
-        y1, y2 = ys[i], ys[i + 1]
-        if y1 <= y <= y2:
-            return xs[i] + (y - y1) * (xs[i + 1] - xs[i]) / (y2 - y1)
-    raise ValueError(f"{y} outside the value range [{ys[0]}, {ys[-1]}]")
 
 
 # --- circle lifts -------------------------------------------------------------
@@ -102,26 +93,26 @@ class PLCircleMap:
             raise InvalidDocument("lift values must increase strictly with slope > 0")
         return cls(bs, vs)
 
-    def _nodes(self):
-        xs = self.breakpoints + (Fraction(1),)
-        ys = self.values + (self.values[0] + 1,)
-        return xs, ys
+    @cached_property
+    def nodes(self):
+        """(xs, ys): the breakpoints and lift values, closed by (1, F(0) + 1)."""
+        return self.breakpoints + (Fraction(1),), self.values + (self.values[0] + 1,)
 
     def eval_lift(self, x: Fraction) -> Fraction:
         x = Fraction(x)
         n = _floor(x)
-        xs, ys = self._nodes()
+        xs, ys = self.nodes
         return _interp(xs, ys, x - n) + n
 
     def inverse_lift(self, y: Fraction) -> Fraction:
         y = Fraction(y)
-        xs, ys = self._nodes()
+        xs, ys = self.nodes
         k = _floor(y - ys[0])
         yr = y - k
         if yr >= ys[-1]:  # exact top edge after flooring
             k += 1
             yr -= 1
-        return _inverse_interp(xs, ys, yr) + k
+        return _interp(ys, xs, yr) + k
 
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
         """Slope of the map on [lo, hi] if it is affine there, else None.
@@ -198,8 +189,7 @@ def _rotation(mapping: PLCircleMap, q_max: int):
         raise ValueError("q_max must be >= 1")
     power = mapping
     for q in range(1, q_max + 1):
-        xs = power.breakpoints
-        disp = [power.eval_lift(b) - b for b in xs]
+        disp = [v - b for b, v in zip(power.breakpoints, power.values)]
         lo, hi = min(disp), max(disp)
         p_lo = -((-lo.numerator) // lo.denominator)  # ceil(lo)
         if p_lo <= hi:
@@ -228,7 +218,7 @@ def periodic_points(mapping: PLCircleMap, p: int, q: int):
 
 def _periodic_blocks(power: PLCircleMap, p: int, q: int):
     """`periodic_points` with the lift power F^q already composed."""
-    xs, ys = power._nodes()
+    xs, ys = power.nodes
     pieces = []
     for i in range(len(xs) - 1):
         x1, x2, y1, y2 = xs[i], xs[i + 1], ys[i], ys[i + 1]
@@ -471,42 +461,35 @@ def _attempt(g, space, arc, att, rep, u1, u2, delta, n_max):
             return None
     elif g.eval_lift(u2) >= u1:
         return None
-    fwd = [(u1, u2)]
-    lo, hi = u1, u2
-    while not _tail_reached(g, lo, hi, att, delta):
-        if len(fwd) > n_max:
-            raise HorizonExceeded(f"forward orbit exceeded n_max = {n_max}")
-        lo, hi = g.eval_lift(lo), g.eval_lift(hi)
-        fwd.append((lo, hi))
-    bwd = [(u1, u2)]
-    lo, hi = u1, u2
-    while not _tail_reached(g, lo, hi, rep, delta):
-        if len(bwd) > n_max:
-            raise HorizonExceeded(f"backward orbit exceeded n_max = {n_max}")
-        lo, hi = g.inverse_lift(lo), g.inverse_lift(hi)
-        bwd.append((lo, hi))
+    fwd = _walk_to_tail(g, g.eval_lift, u1, u2, att, delta, n_max, "forward")
+    bwd = _walk_to_tail(g, g.inverse_lift, u1, u2, rep, delta, n_max, "backward")
     horizon = max(len(fwd), len(bwd)) - 1
-    while len(fwd) <= horizon:
-        lo, hi = fwd[-1]
-        fwd.append((g.eval_lift(lo), g.eval_lift(hi)))
-    while len(bwd) <= horizon:
-        lo, hi = bwd[-1]
-        bwd.append((g.inverse_lift(lo), g.inverse_lift(hi)))
+    fwd += _endpoint_orbit(g.eval_lift, *fwd[-1], horizon + 1 - len(fwd))[1:]
+    bwd += _endpoint_orbit(g.inverse_lift, *bwd[-1], horizon + 1 - len(bwd))[1:]
     if any(_diam(space, lo, hi) > delta for lo, hi in fwd + bwd):
         return None
-    f_lo, f_hi = fwd[-1]
-    b_lo, b_hi = bwd[-1]
-    fwd_span = (min(f_lo, att), max(f_hi, att))
-    bwd_span = (min(b_lo, rep), max(b_hi, rep))
-    tail = {
-        "forward": {"span": fwd_span, "slope": g.affine_span_slope(*fwd_span)},
-        "backward": {"span": bwd_span, "slope": g.affine_span_slope(*bwd_span)},
-    }
+    tail = {}
+    for label, orbit, fixed in (("forward", fwd, att), ("backward", bwd, rep)):
+        lo, hi = orbit[-1]
+        span = (min(lo, fixed), max(hi, fixed))
+        tail[label] = {"span": span, "slope": g.affine_span_slope(*span)}
     trace = tuple(
         (n, lo, hi)
         for n, (lo, hi) in enumerate(list(reversed(bwd[1:])) + fwd, start=-horizon)
     )
     return trace, horizon, tail
+
+
+def _walk_to_tail(g, step, lo, hi, fixed, delta, n_max, label):
+    """Iterates of [lo, hi] under step, up to the first one that reaches the
+    affine tail beside `fixed` (see `_tail_reached`)."""
+    orbit = [(lo, hi)]
+    while not _tail_reached(g, lo, hi, fixed, delta):
+        if len(orbit) > n_max:
+            raise HorizonExceeded(f"{label} orbit exceeded n_max = {n_max}")
+        lo, hi = step(lo), step(hi)
+        orbit.append((lo, hi))
+    return orbit
 
 
 def certify(mapping: PLCircleMap, delta: Fraction, q_max: int = DEFAULT_Q_MAX,
@@ -571,24 +554,23 @@ def verify_certificate(cert: Certificate, delta: Fraction = None,
     u1, u2 = cert.probe
     if not (a < u1 < u2 < b):
         violations.append("probe interval is not strictly inside the arc")
+    # The trace fixes the replay length: a horizon it does not back is
+    # rejected before anything of that size is built.
     expected = {n: (lo, hi) for n, lo, hi in cert.trace}
-    if sorted(expected) != list(range(-cert.horizon, cert.horizon + 1)):
+    if len(expected) != 2 * cert.horizon + 1 or any(
+        not -cert.horizon <= n <= cert.horizon for n in expected
+    ):
         violations.append("trace does not cover -N..N")
         return VerificationReport(tuple(violations))
-    lo, hi = u1, u2
-    if expected[0] != (lo, hi):
+    if expected[0] != (u1, u2):
         violations.append("trace at n=0 is not the probe interval")
-    for n in range(1, cert.horizon + 1):
-        lo, hi = g.eval_lift(lo), g.eval_lift(hi)
-        if expected[n] != (lo, hi):
-            violations.append(f"trace mismatch at n={n}: recomputed ({lo}, {hi})")
-            break
-    lo, hi = u1, u2
-    for n in range(1, cert.horizon + 1):
-        lo, hi = g.inverse_lift(lo), g.inverse_lift(hi)
-        if expected[-n] != (lo, hi):
-            violations.append(f"trace mismatch at n={-n}: recomputed ({lo}, {hi})")
-            break
+    for sign, step in ((1, g.eval_lift), (-1, g.inverse_lift)):
+        lo, hi = u1, u2
+        for n in range(sign, sign * (cert.horizon + 1), sign):
+            lo, hi = step(lo), step(hi)
+            if expected[n] != (lo, hi):
+                violations.append(f"trace mismatch at n={n}: recomputed ({lo}, {hi})")
+                break
     for n, lo_n, hi_n in cert.trace:
         if lo_n >= hi_n:
             violations.append(f"degenerate interval at n={n}")
@@ -812,13 +794,15 @@ def interval_pipeline(document, delta: Fraction,
     A decreasing document is reduced to its square (recorded as q=2 in the
     certificate).  Raises AllFixed (with an analytical report) when the
     reduced map is the identity, where every observable is trivially stable
-    on every component.  0 is always fixed, so the complementary arcs of the
-    fixed set, read on the circle, are the interval's components in order.
+    on every component.  The arcs come from `reduced_power`, as for a circle
+    map: F(0) = 0 and F(x) > x - 1, so the rotation search stops at p = 0,
+    q = 1 without composing, and the complementary arcs of the fixed set,
+    read on the circle, are the interval's components in order.
     """
     doc = _as_dict(document)
     mapping, power = parse_interval_map(doc)
-    blocks, full = periodic_points(mapping, 0, 1)
-    if full:
+    g, report = reduced_power(mapping)
+    if not report.arcs:
         raise AllFixed(
             "every point is fixed; dynamics adds nothing to plain distance",
             report={
@@ -832,8 +816,7 @@ def interval_pipeline(document, delta: Fraction,
                 ),
             },
         )
-    return _certify_core(mapping, "interval", _complement_arcs(blocks, full),
-                         power, 0, delta, n_max, doc)
+    return _certify_core(g, "interval", report.arcs, power, 0, delta, n_max, doc)
 
 
 # --- certificate interchange -----------------------------------------------------
@@ -841,14 +824,11 @@ def interval_pipeline(document, delta: Fraction,
 
 def _base_slope_bound(cert: Certificate) -> Fraction:
     """Lipschitz constant of the base map (max |slope| over its pieces)."""
-    doc = cert.map_document
-    bs = [parse_rational(b) for b in doc["breakpoints"]]
     if cert.space == "circle":
-        vs = [parse_rational(v) for v in doc["lift_values"]]
-        bs = bs + [Fraction(1)]
-        vs = vs + [vs[0] + 1]
+        bs, vs = parse_circle_map(cert.map_document).nodes
     else:
-        vs = [parse_rational(v) for v in doc["values"]]
+        bs = _rational_list(cert.map_document, "breakpoints")
+        vs = _rational_list(cert.map_document, "values")
     return max(
         abs((v2 - v1) / (b2 - b1))
         for b1, b2, v1, v2 in zip(bs, bs[1:], vs, vs[1:])
@@ -929,6 +909,12 @@ def parse_certificate(document) -> Certificate:
     horizon = _cert_int(doc["horizon"], "'horizon'")
     if horizon < 0:
         raise InvalidDocument("certificate 'horizon' must not be negative")
+    if doc["space"] not in ("circle", "interval"):
+        raise InvalidDocument("certificate 'space' must be 'circle' or 'interval'")
+    if _cert_int(doc["direction"], "'direction'") not in (1, -1):
+        raise InvalidDocument("certificate 'direction' must be 1 or -1")
+    if doc["mode"] not in ("contracting", "cap"):
+        raise InvalidDocument("certificate 'mode' must be 'contracting' or 'cap'")
     if not isinstance(doc["trace"], list):
         raise InvalidDocument("certificate 'trace' must be a list")
     trace = []
@@ -953,19 +939,8 @@ def parse_certificate(document) -> Certificate:
         arc=_cert_pair(doc["arc"], "'arc'"),
         probe=_cert_pair(doc["probe"], "'probe'"),
         horizon=horizon,
-        direction=_cert_int(doc["direction"], "'direction'"),
+        direction=doc["direction"],
         mode=doc["mode"],
         trace=tuple(trace),
         tail=tail,
     )
-
-
-def conjugate_by_rotation(mapping: PLCircleMap, c: Fraction) -> PLCircleMap:
-    """R_c o F o R_{-c}: the same circle dynamics seen from a rotated chart."""
-    c = Fraction(c)
-    breaks = {Fraction(0)}
-    for b in mapping.breakpoints:
-        x = b + c
-        breaks.add(x - _floor(x))
-    bs = sorted(breaks)
-    return PLCircleMap.build(bs, [mapping.eval_lift(x - c) + c for x in bs])

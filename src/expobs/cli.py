@@ -38,7 +38,7 @@ from .errors import (
     NoWanderingInterval,
 )
 from .exact import format_rational, parse_rational
-from .model import parse_observable, parse_system
+from .model import _as_dict, parse_observable, parse_system
 from .relations import delta_star, indistinguishability_quotient, sigma_star
 from .report import (
     DEFAULT_PERIODIC_LEVELS,
@@ -152,7 +152,7 @@ def _cmd_laws(args) -> int:
 def _cmd_conjugacy(args) -> int:
     source = parse_system(_load_document(args.source))
     target = parse_system(_load_document(args.target))
-    mapping = _load_document(args.map)
+    mapping = _as_dict(_load_document(args.map))
     conj = Conjugacy.build(source, target, mapping)
     observables = [
         parse_observable(_load_document(doc), source) for doc in args.observable

@@ -137,10 +137,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.real, -self.imag)
 
-    def abs_sq(self) -> Fraction:
-        """Squared modulus; the canonical exact magnitude of a Gaussian rational."""
-        return self.real * self.real + self.imag * self.imag
-
     def is_zero(self) -> bool:
         return self.real == 0 and self.imag == 0
 

@@ -72,13 +72,6 @@ class FiniteSystem:
         return self.points[self.perm[self.index(point)]]
 
     @cached_property
-    def inverse_perm(self) -> tuple:
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return tuple(inv)
-
-    @cached_property
     def orbit_cycles(self) -> tuple:
         """Pair cycles of (a, b) |-> (f a, f b), each with its orbit sup-distance.
 

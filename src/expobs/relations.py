@@ -81,11 +81,6 @@ def pair_orbit_sup(system: FiniteSystem, x, y) -> Fraction:
     return max(_pair_orbit(system, x, y))
 
 
-def min_pair_distance(system: FiniteSystem, x, y) -> Fraction:
-    """min_n d(f^n x, f^n y); positive for distinct points of a finite system."""
-    return min(_pair_orbit(system, x, y))
-
-
 def e_star(system: FiniteSystem) -> Fraction:
     """The separation constant min_{x != y} D(x, y)."""
     if system.n < 2:

@@ -53,30 +53,6 @@ def random_system(rng: random.Random, min_points: int = 2, max_points: int = 12)
     return FiniteSystem.build(points, rows, mapping)
 
 
-def random_isometric_system(rng: random.Random, max_points: int = 12) -> FiniteSystem:
-    """System whose map preserves the metric (so D = d everywhere).
-
-    Two families: scaled rotation grids Z/n, and identity maps over arbitrary
-    repaired metrics.
-    """
-    if rng.random() < 0.5:
-        n = rng.randint(2, max_points)
-        step = rng.randrange(n)
-        scale = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
-        points = tuple(str(i) for i in range(n))
-        rows = [
-            [scale * Fraction(min(abs(i - j), n - abs(i - j)), n) for j in range(n)]
-            for i in range(n)
-        ]
-        mapping = {points[i]: points[(i + step) % n] for i in range(n)}
-        return FiniteSystem.build(points, rows, mapping)
-    n = rng.randint(2, max_points)
-    points = tuple(str(i) for i in range(n))
-    rows = random_metric(rng, n)
-    mapping = {p: p for p in points}
-    return FiniteSystem.build(points, rows, mapping)
-
-
 def random_observable(rng: random.Random, system: FiniteSystem) -> Observable:
     ids = [rng.randrange(len(PALETTE)) for _ in system.points]
     return Observable._from_classes(system.points, ids, PALETTE)

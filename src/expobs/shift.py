@@ -302,11 +302,12 @@ class CylinderObservable:
         return MappingProxyType(dict(self.entries))
 
     def value_of_word(self, word: str) -> GaussianRational:
-        return self.table[word]
-
-    def eval_at(self, x: EPPoint, n: int = 0) -> GaussianRational:
-        """phi evaluated along the orbit: phi(shift^n x)."""
-        return self.table[x.window(n - self.window, n + self.window + 1)]
+        try:
+            return self.table[word]
+        except KeyError:
+            raise AlphabetMismatch(
+                f"window word {word!r} is not over the observable's alphabet"
+            ) from None
 
 
 def obs_stable_equiv(x: EPPoint, y: EPPoint, phi: CylinderObservable, side: str) -> bool:
@@ -537,12 +538,13 @@ def parse_point(document, alphabet=None) -> EPPoint:
     for key in ("left", "right"):
         if key not in doc or not isinstance(doc[key], str):
             raise InvalidDocument(f"point document needs a word at {key!r}")
+    core = doc.get("core", "")
+    if not isinstance(core, str):
+        raise InvalidDocument("point document needs a word at 'core'")
     offset = doc.get("offset", 0)
     if isinstance(offset, bool) or not isinstance(offset, int):
         raise InvalidDocument("offset must be an integer")
-    return EPPoint.make(
-        doc["left"], doc.get("core", ""), doc["right"], offset, alphabet
-    )
+    return EPPoint.make(doc["left"], core, doc["right"], offset, alphabet)
 
 
 def serialize_point(x: EPPoint) -> dict:

@@ -40,7 +40,8 @@ def _require(report, key):
 def _spectrum_panel(observables, x0: int, y0: int):
     entries = []
     for obs in observables:
-        if "delta_star" not in obs or "index" not in obs:
+        if (not isinstance(obs, dict) or "delta_star" not in obs
+                or not isinstance(obs.get("index"), int)):
             raise MalformedReport("observable entry lacks delta_star/index")
         entries.append((parse_extended(obs["delta_star"]), obs["index"]))
     entries.sort(key=lambda e: (e[0] is INF, e[0] if e[0] is not INF else 0, e[1]))
@@ -89,6 +90,8 @@ def _blocks_panel(quotients, x0: int, y0: int):
     for quotient in quotients:
         threshold = _require(quotient, "threshold")
         blocks = _require(quotient, "blocks")
+        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+            raise MalformedReport("quotient blocks must be lists of points")
         parts.append(
             f'<text x="{x0}" y="{y + 12}" class="title">quotient blocks at '
             f"delta = {_esc(threshold)}</text>"

@@ -8,11 +8,15 @@ package is checked against arithmetic that cannot share its bugs.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
-from expobs.exact import INF
+from expobs.circle import PLCircleMap
+from expobs.exact import INF, GaussianRational
 from expobs.model import FiniteSystem, Observable
-from expobs.shift import EPPoint, enumerate_points, in_dynamical_ball
+from expobs.relations import _pair_orbit
+from expobs.sampling import random_metric
+from expobs.shift import CylinderObservable, EPPoint, enumerate_points, in_dynamical_ball
 
 
 def permutation_order(system: FiniteSystem) -> int:
@@ -77,7 +81,7 @@ def brute_sigma_star(system: FiniteSystem, phi: Observable):
     for i in range(system.n):
         for j in range(i + 1, system.n):
             if vals[i] != vals[j]:
-                top = max((vals[a] - vals[b]).abs_sq() for a, b in orbit_pairs(system, i, j))
+                top = max(abs_sq(vals[a] - vals[b]) for a, b in orbit_pairs(system, i, j))
                 if best is None or top < best:
                     best = top
     return INF if best is None else best
@@ -183,7 +187,7 @@ def brute_omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fract
     for i in range(system.n):
         for j in range(i + 1, system.n):
             if system.metric[i][j] <= t:
-                best = max(best, (vals[i] - vals[j]).abs_sq())
+                best = max(best, abs_sq(vals[i] - vals[j]))
     return best
 
 
@@ -279,3 +283,84 @@ def brute_ball(x: EPPoint, eps: Fraction, side: str, bound: int) -> list:
     enumeration order, by one `in_dynamical_ball` call per point."""
     return [y for y in enumerate_points(tuple(x.alphabet), bound)
             if in_dynamical_ball(x, y, eps, side)]
+
+
+def abs_sq(z: GaussianRational) -> Fraction:
+    """Squared modulus; the canonical exact magnitude of a Gaussian rational."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def inverse_perm(system: FiniteSystem) -> tuple:
+    """The index permutation of f^-1."""
+    inv = [0] * system.n
+    for i, j in enumerate(system.perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def min_pair_distance(system: FiniteSystem, x, y) -> Fraction:
+    """min_n d(f^n x, f^n y) over the pair's own cycle; positive for distinct
+    points of a finite system."""
+    return min(_pair_orbit(system, x, y))
+
+
+def eval_at(phi: CylinderObservable, x: EPPoint, n: int = 0) -> GaussianRational:
+    """phi evaluated along the orbit: phi(shift^n x)."""
+    return phi.table[x.window(n - phi.window, n + phi.window + 1)]
+
+
+def random_isometric_system(rng: random.Random, max_points: int = 12) -> FiniteSystem:
+    """System whose map preserves the metric (so D = d everywhere).
+
+    Two families: scaled rotation grids Z/n, and identity maps over arbitrary
+    repaired metrics.
+    """
+    if rng.random() < 0.5:
+        n = rng.randint(2, max_points)
+        step = rng.randrange(n)
+        scale = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+        points = tuple(str(i) for i in range(n))
+        rows = [
+            [scale * Fraction(min(abs(i - j), n - abs(i - j)), n) for j in range(n)]
+            for i in range(n)
+        ]
+        mapping = {points[i]: points[(i + step) % n] for i in range(n)}
+        return FiniteSystem.build(points, rows, mapping)
+    n = rng.randint(2, max_points)
+    points = tuple(str(i) for i in range(n))
+    rows = random_metric(rng, n)
+    mapping = {p: p for p in points}
+    return FiniteSystem.build(points, rows, mapping)
+
+
+def conjugate_by_rotation(mapping: PLCircleMap, c: Fraction) -> PLCircleMap:
+    """R_c o F o R_{-c}: the same circle dynamics seen from a rotated chart."""
+    c = Fraction(c)
+    breaks = {Fraction(0)}
+    for b in mapping.breakpoints:
+        x = b + c
+        breaks.add(x - math.floor(x))
+    bs = sorted(breaks)
+    return PLCircleMap.build(bs, [mapping.eval_lift(x - c) + c for x in bs])
+
+
+def inverse_interp(xs, ys, y: Fraction) -> Fraction:
+    """Preimage of y under a strictly increasing PL node list, by a linear
+    scan for the first segment whose values reach y."""
+    for i in range(len(xs) - 1):
+        y1, y2 = ys[i], ys[i + 1]
+        if y1 <= y <= y2:
+            return xs[i] + (y - y1) * (xs[i + 1] - xs[i]) / (y2 - y1)
+    raise ValueError(f"{y} outside the value range [{ys[0]}, {ys[-1]}]")
+
+
+def scan_inverse_lift(mapping: PLCircleMap, y: Fraction) -> Fraction:
+    """F^-1(y) through `inverse_interp` on the lift's nodes over [0, 1]."""
+    xs = mapping.breakpoints + (Fraction(1),)
+    ys = mapping.values + (mapping.values[0] + 1,)
+    k = math.floor(y - ys[0])
+    yr = y - k
+    if yr >= ys[-1]:
+        k += 1
+        yr -= 1
+    return inverse_interp(xs, ys, yr) + k

@@ -48,7 +48,7 @@ from expobs.relations import (
     periodic_level_report,
     power_system,
 )
-from expobs.sampling import corpus, random_isometric_system, random_observable
+from expobs.sampling import corpus, random_observable
 from expobs.shift import (
     CylinderObservable,
     EPPoint,
@@ -232,7 +232,7 @@ def test_criterion_05_equicontinuous_collapse(announce):
 
 def test_criterion_06_discrete_rigidity(corpus200, announce):
     rng = random.Random(CORPUS_SEED + 2)
-    isometric = [random_isometric_system(rng, max_points=12) for _ in range(150)]
+    isometric = [oracles.random_isometric_system(rng, max_points=12) for _ in range(150)]
     counterexamples = []
     for idx, system in enumerate(isometric):
         table = orbit_distance_table(system)

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +16,6 @@ from expobs.circle import (
     certify,
     circle_power,
     compose_circle,
-    conjugate_by_rotation,
     interval_pipeline,
     map_identifier,
     parse_certificate,
@@ -48,6 +48,7 @@ from expobs.library import (
     rigid_rotation_document,
     valley_interval_document,
 )
+from oracles import conjugate_by_rotation, scan_inverse_lift
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,38 @@ def symmetric_bump_maps(count, seed):
     return maps
 
 
+def random_lifts(count, seed):
+    """Lifts with 1-5 random breakpoints on a 1/96 grid, F(0) in [-2, 2)
+    and random positive increments summing to less than 1."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        inner = {Fraction(rng.randrange(1, 96), 96) for _ in range(rng.randint(0, 4))}
+        bs = sorted({Fraction(0)} | inner)
+        cuts = sorted(Fraction(rng.randrange(1, 96), 97) for _ in range(len(bs)))
+        start = Fraction(rng.randrange(-192, 192), 96)
+        maps.append(PLCircleMap.build(bs, [start] + [start + c for c in cuts[:-1]]))
+    return maps
+
+
+def seeded_interval_documents(count, seed):
+    """Increasing PL maps of [0, 1] on a 1/48 grid; about one node in three
+    is fixed, so the fixed sets range from {0, 1} to blocks."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(count):
+        inner = sorted({Fraction(rng.randrange(1, 48), 48) for _ in range(rng.randint(1, 5))})
+        bs = [Fraction(0)] + inner + [Fraction(1)]
+        values = [Fraction(0)]
+        for b, b_next in zip(inner, bs[2:]):
+            low, high = values[-1], b_next - (b_next - b) / 2
+            values.append(b if rng.random() < 1 / 3 and low < b else
+                          low + (high - low) * Fraction(rng.randint(1, 9), 10))
+        values.append(Fraction(1))
+        docs.append({"breakpoints": [str(b) for b in bs], "values": [str(v) for v in values]})
+    return docs
+
+
 class TestPLCircleMap:
     def test_lift_is_degree_one(self, m0):
         for x in rational_points(20, 1):
@@ -96,6 +129,23 @@ class TestPLCircleMap:
     def test_inverse_lift(self, m0):
         for x in rational_points(30, 3):
             assert m0.inverse_lift(m0.eval_lift(x)) == x
+
+    def test_inverse_lift_matches_the_linear_scan(self, m0, plateau):
+        """inverse_lift reads the node lists backward through the same
+        interpolation as eval_lift; the reference scans the segments."""
+        for mapping in [m0, plateau] + symmetric_bump_maps(10, seed=5) + random_lifts(30, seed=6):
+            top = mapping.values[0] + 1
+            ys = list(mapping.values) + [top, top - 3, mapping.values[-1] - 2]
+            ys += [Fraction(-5, 7), Fraction(-13, 3), Fraction(1, 3), Fraction(7, 5)]
+            for y in ys + [y + k for y in ys for k in (-1, 2)]:
+                assert mapping.inverse_lift(y) == scan_inverse_lift(mapping, y)
+                assert mapping.eval_lift(mapping.inverse_lift(y)) == y
+
+    def test_nodes_close_the_lift_and_are_kept(self, plateau):
+        xs, ys = plateau.nodes
+        assert xs == plateau.breakpoints + (Fraction(1),)
+        assert ys == plateau.values + (plateau.values[0] + 1,)
+        assert plateau.nodes is plateau.nodes
 
     def test_build_rejects_bad_documents(self):
         with pytest.raises(InvalidDocument):
@@ -281,6 +331,30 @@ class TestCertify:
         assert verify_certificate(cert).ok
 
 
+class TestReplayBudget:
+    def test_unbacked_horizon_is_rejected_before_replay(self, m0):
+        """A three-entry trace claiming horizon 10^6 is refused by counting
+        entries, without building anything of the horizon's size."""
+        cert = certify(m0, Fraction(1, 16))
+        doc = serialize_certificate(cert)
+        doc["horizon"] = 10 ** 6
+        bad = parse_certificate(doc)
+        tracemalloc.start()
+        try:
+            report = verify_certificate(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.violations == ("trace does not cover -N..N",)
+        assert peak < 4 * 2 ** 20
+
+    def test_trace_with_a_gap_is_rejected(self, m0):
+        cert = certify(m0, Fraction(1, 16))
+        doc = serialize_certificate(cert)
+        doc["trace"][0]["n"] = 2
+        assert "trace does not cover -N..N" in verify_certificate(parse_certificate(doc)).violations
+
+
 class TestPropertyP:
     def test_rejects_overlapping_probe(self, m0):
         # g([1/8, 1/4]) = [3/16, 3/8] overlaps [1/8, 1/4]; iterates collide.
@@ -388,6 +462,25 @@ class TestIntervalPipeline:
             ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))),
             False,
         )
+
+    def test_arc_is_the_first_gap_of_the_fixed_set(self):
+        """The reduced-power path picks the same arc as the fixed set of F
+        itself: p = 0, q = 1 and no composition for a map fixing 0."""
+        circle_module = importlib.import_module("expobs.circle")
+        certified = 0
+        for doc in seeded_interval_documents(40, seed=12):
+            mapping, _ = parse_interval_map(doc)
+            blocks, full = periodic_points(mapping, 0, 1)
+            if full:
+                with pytest.raises(AllFixed):
+                    interval_pipeline(doc, Fraction(1, 16))
+                continue
+            cert = interval_pipeline(doc, Fraction(1, 16))
+            assert cert.arc == circle_module._complement_arcs(blocks, full)[0]
+            assert (cert.q, cert.p) == (1, 0)
+            assert verify_certificate(cert).ok
+            certified += 1
+        assert certified >= 30
 
     def test_interval_power_matches_iteration(self):
         mapping, _ = parse_interval_map(valley_interval_document())

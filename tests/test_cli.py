@@ -162,6 +162,19 @@ class TestHostileSymbolicDocuments:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("core", [None, ["1"], {"1": 1}, 7],
+                             ids=["null-core", "list-core", "object-core", "int-core"])
+    def test_non_word_core_rejected(self, capsys, core):
+        point = json.dumps({"left": "0", "core": core, "right": "0"})
+        assert_one_error_line(*run(capsys, "symbolic", "stable", "--x", point, "--y", ZERO_PT))
+
+    def test_point_symbol_outside_the_observable_alphabet(self, capsys):
+        point = json.dumps({"left": "0", "core": "1", "right": "b"})
+        assert_one_error_line(*run(
+            capsys, "symbolic", "obs-stable", "--x", ONE_BUMP, "--y", point,
+            "--observable", LETTER_OBS,
+        ))
+
 
 class TestSmallCommands:
     def test_dstar(self, capsys):
@@ -206,6 +219,28 @@ class TestSmallCommands:
         doc = json.loads(out)
         assert doc["isometry"] is True
         assert doc["violations"] == []
+
+
+class TestHostileConjugacyMaps:
+    """A conjugacy map that is not an object of target points gets exit 1
+    and one error line."""
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            [-2, "a", None],
+            {"a": [1], "b": "b", "c": "c", "d": "d"},
+            {"a": {"b": 1}, "b": "b", "c": "c", "d": "d"},
+            {"a": "z", "b": "b", "c": "c", "d": "d"},
+            {"a": "a", "b": "a", "c": "c", "d": "d"},
+        ],
+        ids=["list-map", "list-image", "object-image", "unknown-image", "not-injective"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, mapping):
+        assert_one_error_line(*run(
+            capsys, "conjugacy", "--source", L4_DOC, "--target", L4_DOC,
+            "--map", json.dumps(mapping),
+        ))
 
 
 class TestSymbolic:
@@ -337,6 +372,49 @@ QUARTER_TURN_MAP = json.dumps({
 })
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+PLATEAU_CIRCLE_PATH = str(FIXTURES / "plateau_circle.json")
+
+# The inverse of the plateau map: its backward walk is the plateau's forward one.
+PLATEAU_INVERSE_MAP = json.dumps({
+    "breakpoints": ["0", "1/8", "1/4", "1/2", "7/8"],
+    "lift_values": ["-1/8", "0", "1/4", "1/2", "3/4"],
+})
+
+
+class TestCertifyHorizon:
+    """The probe walks stop at --n-max steps in each direction."""
+
+    def test_forward_walk_exceeds_n_max(self, capsys):
+        code, out, err = run(capsys, "circle", "certify", "--map", PLATEAU_CIRCLE_PATH,
+                             "--delta", "1/64", "--n-max", "1")
+        assert_one_error_line(code, out, err)
+        assert "forward orbit exceeded n_max = 1" in err
+
+    def test_forward_walk_within_n_max(self, capsys):
+        code, out, _ = run(capsys, "circle", "certify", "--map", PLATEAU_CIRCLE_PATH,
+                           "--delta", "1/64", "--n-max", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["horizon"] == 2
+        assert [entry["n"] for entry in doc["trace"]] == [-2, -1, 0, 1, 2]
+
+    @pytest.mark.parametrize("n_max", ["1", "2"])
+    def test_backward_walk_exceeds_n_max(self, capsys, n_max):
+        code, out, err = run(capsys, "circle", "certify", "--map", PLATEAU_INVERSE_MAP,
+                             "--delta", "1/64", "--n-max", n_max)
+        assert_one_error_line(code, out, err)
+        assert f"backward orbit exceeded n_max = {n_max}" in err
+
+    def test_backward_walk_within_n_max(self, capsys):
+        code, out, _ = run(capsys, "circle", "certify", "--map", PLATEAU_INVERSE_MAP,
+                           "--delta", "1/64", "--n-max", "3")
+        assert code == 0
+        assert json.loads(out)["horizon"] == 3
+        code, out, _ = run(capsys, "circle", "verify", "--cert", out)
+        assert code == 0 and json.loads(out)["ok"] is True
+
+
 class TestVerifyBudget:
     """Replaying a circle certificate composes the map q - 1 times, so verify
     takes the --q-max budget that certify searched under."""
@@ -440,10 +518,18 @@ class TestHostileCertificates:
             {"direction": "1"},
             {"arc": 5},
             {"probe": ["0"]},
+            {"space": "banana"},
+            {"space": ["circle"]},
+            {"direction": 0},
+            {"direction": 2},
+            {"mode": "banana"},
+            {"mode": None},
         ],
         ids=["list-tail", "int-tail-entry", "string-tail-span", "trace-entry-lacks-keys",
              "int-trace", "int-trace-entry", "float-q", "bool-horizon",
-             "negative-horizon", "string-direction", "int-arc", "short-probe"],
+             "negative-horizon", "string-direction", "int-arc", "short-probe",
+             "unknown-space", "list-space", "zero-direction", "two-direction",
+             "unknown-mode", "null-mode"],
     )
     def test_rejected_with_one_error_line(self, capsys, changes):
         doc = {**_certificate(capsys, "circle", m0_circle_document()), **changes}

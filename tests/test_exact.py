@@ -16,6 +16,7 @@ from expobs.exact import (
     parse_extended,
     parse_rational,
 )
+from oracles import abs_sq
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -75,7 +76,7 @@ class TestGaussianRational:
         assert GR_ONE * GR_I == GR_I
         assert GR_I * GR_I == -GR_ONE
         assert (GR_ONE + GR_I).conjugate() == GaussianRational.of(1, -1)
-        assert (GR_ONE + GR_I).abs_sq() == Fraction(2)
+        assert abs_sq(GR_ONE + GR_I) == Fraction(2)
         assert GR_ZERO.is_zero()
 
     @given(gaussians(), gaussians())
@@ -84,11 +85,11 @@ class TestGaussianRational:
 
     @given(gaussians(), gaussians())
     def test_abs_sq_is_multiplicative(self, a, b):
-        assert (a * b).abs_sq() == a.abs_sq() * b.abs_sq()
+        assert abs_sq(a * b) == abs_sq(a) * abs_sq(b)
 
     @given(gaussians())
     def test_abs_sq_vanishes_only_at_zero(self, a):
-        assert (a.abs_sq() == 0) == a.is_zero()
+        assert (abs_sq(a) == 0) == a.is_zero()
 
     def test_parse_pair_forms(self):
         assert GaussianRational.parse_pair(["1/2", "-1"]) == GaussianRational.of(

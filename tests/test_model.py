@@ -103,7 +103,7 @@ class TestParseSystem:
 
 class TestSystemBasics:
     def test_inverse_perm(self, l4):
-        inv = l4.inverse_perm
+        inv = oracles.inverse_perm(l4)
         for i in range(l4.n):
             assert inv[l4.perm[i]] == i
 

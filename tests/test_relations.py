@@ -17,7 +17,6 @@ from expobs.relations import (
     gamma_k,
     indistinguishability_quotient,
     is_constant_on_blocks,
-    min_pair_distance,
     omega_map,
     omega_map_table,
     omega_obs,
@@ -105,8 +104,8 @@ class TestOrbitDistance:
         assert pair_orbit_sup(cat5, "0,0", "2,3") == table.dist("0,0", "2,3")
 
     def test_min_pair_distance_positive(self, l4):
-        assert min_pair_distance(l4, "0", "3") > 0
-        assert min_pair_distance(l4, "0", "0") == 0
+        assert oracles.min_pair_distance(l4, "0", "3") > 0
+        assert oracles.min_pair_distance(l4, "0", "0") == 0
 
 
 class TestSeparationConstants:

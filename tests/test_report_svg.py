@@ -120,6 +120,21 @@ class TestSvg:
         with pytest.raises(MalformedReport):
             plot("[]")
 
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"observables": [5]},
+            {"observables": [None]},
+            {"observables": [{"delta_star": "1", "index": "a"}, {"delta_star": "1", "index": 0}]},
+            {"quotients": [{"threshold": "1", "blocks": 3}]},
+            {"quotients": [{"threshold": "1", "blocks": [["0"], 7]}]},
+        ],
+        ids=["int-observable", "null-observable", "string-index", "int-blocks", "int-block"],
+    )
+    def test_malformed_entries_rejected(self, l4_report, part):
+        with pytest.raises(MalformedReport):
+            plot({**l4_report, **part})
+
 
 class TestLawReportDocument:
     def test_document_carries_provenance(self, l4):

@@ -4,11 +4,11 @@ from fractions import Fraction
 from expobs.relations import e_star, omega_map, orbit_distance_table
 from expobs.sampling import (
     corpus,
-    random_isometric_system,
     random_metric,
     random_observable,
     random_system,
 )
+from oracles import random_isometric_system
 
 
 class TestRandomMetric:

@@ -196,8 +196,8 @@ class TestCylinderObservables:
 
     def test_eval_reads_window(self):
         phi = CylinderObservable.injective(1, "01")
-        assert phi.eval_at(HOMOCLINIC, 0) == phi.value_of_word("010")
-        assert phi.eval_at(HOMOCLINIC, 1) == phi.value_of_word("100")
+        assert oracles.eval_at(phi, HOMOCLINIC, 0) == phi.value_of_word("010")
+        assert oracles.eval_at(phi, HOMOCLINIC, 1) == phi.value_of_word("100")
 
     def test_document_round_trip(self):
         phi = CylinderObservable.injective(1, "01")
