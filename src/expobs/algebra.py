@@ -303,6 +303,8 @@ def conjugacy_invariance_report(
     back observable satisfies delta_star_source(H phi) > t.  For isometries the
     two constants must agree exactly.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     if observables is None:
         rng = random.Random(seed)
         observables = [random_observable(rng, conj.target) for _ in range(samples)]

@@ -107,26 +107,24 @@ class FiniteSystem:
         return tuple(cycles)
 
     @cached_property
-    def pairs_by_distance(self) -> tuple:
-        """Index pairs (i, j), i < j, sorted stably by d(x_i, x_j).
+    def distance_groups(self) -> tuple:
+        """((t, pairs), ...), one entry per realized distance t, ascending.
 
-        Every modulus table is one running-maximum sweep over this order, and
-        the pairs with d <= t are a prefix of it for every threshold t.
+        pairs lists the index pairs (i, j), i < j, with d(x_i, x_j) = t in
+        document order.  Every modulus table takes one maximum per group, and
+        the pairs with d <= t are the groups of a prefix for every threshold t.
         """
         n, metric = self.n, self.metric
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pairs.sort(key=lambda pair: metric[pair[0]][pair[1]])
-        return tuple(pairs)
+        groups = {}
+        for i in range(n):
+            row = metric[i]
+            for j in range(i + 1, n):
+                groups.setdefault(row[j], []).append((i, j))
+        return tuple((t, tuple(groups[t])) for t in sorted(groups))
 
     def realized_distances(self) -> tuple:
         """Sorted distinct positive distances d(x, y), x != y."""
-        metric = self.metric
-        realized = []
-        for i, j in self.pairs_by_distance:
-            d = metric[i][j]
-            if not realized or realized[-1] != d:
-                realized.append(d)
-        return tuple(realized)
+        return tuple(t for t, _ in self.distance_groups)
 
 
 def _check_metric(points, rows):
@@ -349,8 +347,7 @@ def mesh(system: FiniteSystem) -> Fraction:
     """Smallest positive distance; the default analysis resolution."""
     if system.n < 2:
         raise DegenerateSpace("mesh needs at least two points")
-    i, j = system.pairs_by_distance[0]
-    return system.metric[i][j]
+    return system.distance_groups[0][0]
 
 
 def distance_observable(system: FiniteSystem, base) -> Observable:

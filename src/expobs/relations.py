@@ -11,10 +11,11 @@ of the first cycle that holds a pair in two different level classes of phi,
 and a quotient unions the cycles of a prefix.  Observables enter as their
 level classes (`Observable.levels`): small ints are compared in place of
 Gaussian rationals, and squared oscillations are ints over one common
-denominator.  The moduli (omega_map, omega_obs, and omega_h in
-`algebra`) are tables from one sweep over the pairs sorted by distance
-(`FiniteSystem.pairs_by_distance`); a single-t modulus is a lookup into its
-table.
+denominator.  The distance thresholds read the pairs grouped by realized
+distance, ascending (`FiniteSystem.distance_groups`): the moduli (omega_map,
+omega_obs, and omega_h in `algebra`) are tables with one maximum per group,
+a single-t modulus is a lookup into its table, and gamma_k and the chain
+components read a prefix of the groups.
 """
 
 from __future__ import annotations
@@ -171,22 +172,15 @@ def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
 
 def modulus_table(system: FiniteSystem, weight) -> tuple:
     """((t, max weight(i, j) over pairs with d(x_i, x_j) <= t), ...) for every
-    realized distance t, ascending: one running-maximum sweep over
-    `FiniteSystem.pairs_by_distance`, starting from 0.  Weights are
+    realized distance t, ascending: a running maximum, from 0, with one
+    maximum per group of `FiniteSystem.distance_groups`.  Weights are
     nonnegative ints or Fractions.
     """
-    metric = system.metric
     table = []
     best = 0
-    for i, j in system.pairs_by_distance:
-        w = weight(i, j)
-        if w > best:
-            best = w
-        d = metric[i][j]
-        if table and table[-1][0] == d:
-            table[-1] = (d, best)
-        else:
-            table.append((d, best))
+    for t, pairs in system.distance_groups:
+        best = max(best, max(weight(i, j) for i, j in pairs))
+        table.append((t, best))
     return tuple(table)
 
 
@@ -281,8 +275,8 @@ def chain_components(system: FiniteSystem, t: Fraction) -> tuple:
     """Components of the graph with metric edges d(x, y) <= t."""
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    metric = system.metric
-    edges = takewhile(lambda pair: metric[pair[0]][pair[1]] <= t, system.pairs_by_distance)
+    prefix = takewhile(lambda group: group[0] <= t, system.distance_groups)
+    edges = (pair for _, pairs in prefix for pair in pairs)
     return _components(system, edges)
 
 
@@ -401,16 +395,14 @@ def gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
             a, b = perm[a], perm[b]
         return top
 
-    # The answer is the realized distance just below the first pair, in
-    # distance order, whose spread exceeds e; the largest one if none does.
-    qualified = current = Fraction(0)
-    for i, j in system.pairs_by_distance:
-        d = metric[i][j]
-        if d != current:
-            qualified, current = current, d
-        if spread(i, j) > e:
+    # The answer is the realized distance just below the first group holding
+    # a pair whose spread exceeds e; the largest one if no group does.
+    qualified = Fraction(0)
+    for t, pairs in system.distance_groups:
+        if any(spread(i, j) > e for i, j in pairs):
             return qualified
-    return current
+        qualified = t
+    return qualified
 
 
 # --- small helpers used across modules --------------------------------------

@@ -25,6 +25,7 @@ from types import MappingProxyType
 
 from .errors import (
     AlphabetMismatch,
+    HorizonExceeded,
     InvalidDocument,
     InvariantViolation,
     NoPairFound,
@@ -342,6 +343,30 @@ def obs_stable_equiv(x: EPPoint, y: EPPoint, phi: CylinderObservable, side: str)
 
 # --- enumeration and searches ------------------------------------------------
 
+# Most raw descriptions `enumerate_points` may build: "01" at bound 11
+# (434 052) and "012" at bound 8 (398 556) fit, "01" at bound 12 (1 081 212)
+# does not.
+ENUMERATION_LIMIT = 1_000_000
+
+
+def _check_enumeration_budget(letters: int, bound: int) -> None:
+    """Raise HorizonExceeded when more than ENUMERATION_LIMIT raw descriptions
+    have size <= bound, counted without building any.
+
+    Words of total length w = llen + clen + rlen, both tails nonempty, come in
+    w(w-1)/2 length splits and letters^w spellings, and take each offset with
+    |offset| <= bound - w: once for 0 and twice for every other magnitude.
+    The count stops as soon as it passes the limit, so any bound is cheap.
+    """
+    count = 0
+    for w in range(2, bound + 1):
+        count += letters ** w * (w * (w - 1) // 2) * (2 * (bound - w) + 1)
+        if count > ENUMERATION_LIMIT:
+            raise HorizonExceeded(
+                f"bound {bound} over {letters} letters needs more than "
+                f"{ENUMERATION_LIMIT} raw descriptions"
+            )
+
 
 @lru_cache(maxsize=32)
 def enumerate_points(alphabet: tuple, bound: int) -> tuple:
@@ -350,8 +375,10 @@ def enumerate_points(alphabet: tuple, bound: int) -> tuple:
 
     Every canonical point of size <= bound is its own raw description, so
     iterating raw descriptions of size <= bound and filtering on canonical
-    size is exhaustive.
+    size is exhaustive.  Raises HorizonExceeded first when that would build
+    more than ENUMERATION_LIMIT raw descriptions.
     """
+    _check_enumeration_budget(len(alphabet), bound)
     seen = {}
     for total in range(2, bound + 1):
         for llen in range(1, total + 1):

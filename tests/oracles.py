@@ -107,6 +107,27 @@ def brute_orbit_cycles(system: FiniteSystem) -> tuple:
     return tuple(sorted(cycles, key=lambda entry: entry[0]))
 
 
+def brute_pairs_by_distance(system: FiniteSystem) -> tuple:
+    """Index pairs (i, j), i < j, sorted stably by d(x_i, x_j)."""
+    n, metric = system.n, system.metric
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return tuple(sorted(pairs, key=lambda pair: metric[pair[0]][pair[1]]))
+
+
+def tied_system(rng: random.Random, n: int) -> FiniteSystem:
+    """n points at distances drawn from {1, 3/2, 2}, so most distances tie;
+    any such matrix is a metric, as 2 <= 1 + 1.  The map is a random
+    permutation."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice((Fraction(1), Fraction(3, 2), Fraction(2)))
+    points = [str(i) for i in range(n)]
+    images = points[:]
+    rng.shuffle(images)
+    return FiniteSystem.build(points, rows, dict(zip(points, images)))
+
+
 def brute_separated_pairs(system: FiniteSystem, phi: Observable) -> tuple:
     vals = [phi[p] for p in system.points]
     return tuple(
@@ -276,6 +297,19 @@ def triangle_violation(points, rows):
                         f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
                     )
     return None
+
+
+def raw_description_count(letters: int, bound: int) -> int:
+    """Raw descriptions `enumerate_points` builds, by the same loops over
+    total size, tail and core lengths and offset sign."""
+    count = 0
+    for total in range(2, bound + 1):
+        for llen in range(1, total + 1):
+            for clen in range(0, total - llen + 1):
+                for rlen in range(1, total - llen - clen + 1):
+                    signs = 1 if total == llen + clen + rlen else 2
+                    count += letters ** (llen + clen + rlen) * signs
+    return count
 
 
 def brute_ball(x: EPPoint, eps: Fraction, side: str, bound: int) -> list:

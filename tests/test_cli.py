@@ -220,6 +220,12 @@ class TestSmallCommands:
         assert doc["isometry"] is True
         assert doc["violations"] == []
 
+    def test_conjugacy_negative_samples_exit_one(self, capsys):
+        assert_one_error_line(*run(
+            capsys, "conjugacy", "--source", L4_DOC, "--target", L4_DOC,
+            "--map", '{"a": "a", "b": "b", "c": "c", "d": "d"}', "--samples", "-3",
+        ))
+
 
 class TestHostileConjugacyMaps:
     """A conjugacy map that is not an object of target points gets exit 1
@@ -300,6 +306,21 @@ class TestSymbolic:
         assert doc["x"] == {"left": "0", "core": "", "right": "0"}
         assert doc["y"] == {"left": "0", "core": "1", "right": "0"}
         assert doc["verified_observables"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-inclusion", "--point", ZERO_PT, "--observable", LETTER_OBS,
+             "--epsilon", "1/2"],
+            ["asymptotic-pair", "--observable", LETTER_OBS],
+        ],
+        ids=["check-inclusion", "asymptotic-pair"],
+    )
+    def test_bound_over_enumeration_budget_exits_one_fast(self, capsys, argv):
+        start = perf_counter()
+        result = run(capsys, "symbolic", *argv, "--alphabet", "01", "--bound", "20")
+        assert perf_counter() - start < 1
+        assert_one_error_line(*result)
 
     def test_no_pair_exits_one(self, capsys):
         code, _, err = run(

@@ -235,9 +235,16 @@ class TestModuli:
 class TestDistanceSweep:
     """The sorted-pair sweeps against per-t brute force."""
 
-    def test_pairs_by_distance(self, small_corpus):
-        for system in small_corpus:
-            pairs = system.pairs_by_distance
+    def test_distance_groups(self, small_corpus):
+        rng = random.Random(1409)
+        tied = [oracles.tied_system(rng, n) for n in (2, 3, 5, 8, 12) for _ in range(4)]
+        for system in [*small_corpus, *tied]:
+            groups = system.distance_groups
+            pairs = [pair for _, group in groups for pair in group]
+            assert tuple(pairs) == oracles.brute_pairs_by_distance(system)
+            ts = [t for t, _ in groups]
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+            assert all(system.metric[i][j] == t for t, group in groups for i, j in group)
             dists = [system.metric[i][j] for i, j in pairs]
             assert dists == sorted(dists)
             assert sorted(pairs) == [

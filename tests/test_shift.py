@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from expobs.errors import AlphabetMismatch, InvalidDocument, NoPairFound
+from expobs.errors import AlphabetMismatch, HorizonExceeded, InvalidDocument, NoPairFound
 from expobs.exact import GaussianRational
 from expobs.shift import (
     CylinderObservable,
     EPPoint,
     SubshiftSpec,
     check_ball_inclusion,
+    ENUMERATION_LIMIT,
+    _check_enumeration_budget,
     enumerate_points,
     find_asymptotic_pair,
     in_dynamical_ball,
@@ -235,6 +237,26 @@ class TestEnumeration:
         assert ZERO in pts
         assert ALT in pts
         assert HOMOCLINIC in pts
+
+    def test_raw_description_counts(self):
+        counts = {(2, 9): 64_404, (2, 11): 434_052, (2, 12): 1_081_212,
+                  (2, 20): 939_523_900, (3, 8): 398_556}
+        for (letters, bound), count in counts.items():
+            assert oracles.raw_description_count(letters, bound) == count
+
+    def test_budget_raises_exactly_past_the_limit(self):
+        for letters in (1, 2, 3):
+            for bound in range(0, 21):
+                if oracles.raw_description_count(letters, bound) > ENUMERATION_LIMIT:
+                    with pytest.raises(HorizonExceeded):
+                        _check_enumeration_budget(letters, bound)
+                else:
+                    _check_enumeration_budget(letters, bound)
+
+    @pytest.mark.parametrize("bound", [12, 10**9])
+    def test_enumeration_over_budget_raises_before_building(self, bound):
+        with pytest.raises(HorizonExceeded):
+            enumerate_points(("0", "1"), bound)
 
 
 class TestBallInclusion:
