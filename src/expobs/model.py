@@ -44,12 +44,23 @@ class FiniteSystem:
         if len(set(points)) != len(points):
             raise InvalidDocument("duplicate point identifiers")
         n = len(points)
-        rows = tuple(tuple(Fraction(v) for v in row) for row in metric_rows)
+        rows = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+            for row in metric_rows
+        )
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidDocument(f"metric must be a {n}x{n} matrix")
-        _check_metric(points, rows)
+        ints, scale = _check_metric(points, rows)
         perm = _permutation_of(points, mapping)
-        return cls(points, rows, perm)
+        # Equal distances share one Fraction object, whatever their spelling.
+        shared = {}
+        metric = tuple(
+            tuple(shared.setdefault(x, v) for x, v in zip(irow, row))
+            for irow, row in zip(ints, rows)
+        )
+        system = cls(points, metric, perm)
+        object.__setattr__(system, "int_metric", (ints, scale))
+        return system
 
     @property
     def n(self) -> int:
@@ -72,6 +83,38 @@ class FiniteSystem:
         return self.points[self.perm[self.index(point)]]
 
     @cached_property
+    def int_metric(self) -> tuple:
+        """(ints, scale): the metric as ints over one common denominator.
+
+        scale is the lcm of the entries' denominators and ints[i][j] =
+        metric[i][j] * scale, so ints compare exactly as the distances do.
+        `build` seeds it from its validation, and `relations.power_system`
+        hands it to every power, which has the same metric.
+        """
+        return _scaled(self.metric)
+
+    @cached_property
+    def cycles(self) -> tuple:
+        """The cycles of perm, each a tuple of indices from its least index
+        on, listed by least index."""
+        perm, seen, cycles = self.perm, [False] * self.n, []
+        for start in range(self.n):
+            if not seen[start]:
+                cycle = [start]
+                seen[start] = True
+                while perm[cycle[-1]] != start:
+                    cycle.append(perm[cycle[-1]])
+                    seen[cycle[-1]] = True
+                cycles.append(tuple(cycle))
+        return tuple(cycles)
+
+    @cached_property
+    def _powers(self) -> dict:
+        """Power systems f^k built so far, keyed by k modulo the order of
+        perm; `relations.power_system` fills it."""
+        return {}
+
+    @cached_property
     def orbit_cycles(self) -> tuple:
         """Pair cycles of (a, b) |-> (f a, f b), each with its orbit sup-distance.
 
@@ -83,28 +126,33 @@ class FiniteSystem:
         every distance along a cycle is positive.  Every threshold query reads
         this one structure: e* is the first D, delta* of an observable is the D
         of the first cycle it separates, and the pairs with D <= delta are the
-        cycles of a prefix.
+        cycles of a prefix.  The maxima and the sort compare the ints of
+        `int_metric`; D is the metric entry of the pair that attains the max.
         """
         n, perm, metric = self.n, self.perm, self.metric
-        seen = [[False] * n for _ in range(n)]
-        cycles = []
+        ints = self.int_metric[0]
+        seen = bytearray(n * n)
+        keyed = []
         for i in range(n):
             for j in range(i + 1, n):
-                if seen[i][j]:
+                if seen[i * n + j]:
                     continue
                 cycle = []
+                top = -1
                 a, b = i, j
                 while True:
                     lo, hi = (a, b) if a < b else (b, a)
-                    if not seen[lo][hi]:
-                        seen[lo][hi] = True
+                    if not seen[lo * n + hi]:
+                        seen[lo * n + hi] = 1
                         cycle.append((lo, hi))
+                        if ints[lo][hi] > top:
+                            top, d = ints[lo][hi], metric[lo][hi]
                     a, b = perm[a], perm[b]
-                    if (a, b) == (i, j):
+                    if a == i and b == j:
                         break
-                cycles.append((max(metric[p][q] for p, q in cycle), tuple(cycle)))
-        cycles.sort(key=lambda entry: entry[0])
-        return tuple(cycles)
+                keyed.append((top, d, tuple(cycle)))
+        keyed.sort(key=lambda entry: entry[0])
+        return tuple((d, cycle) for _, d, cycle in keyed)
 
     @cached_property
     def distance_groups(self) -> tuple:
@@ -113,41 +161,59 @@ class FiniteSystem:
         pairs lists the index pairs (i, j), i < j, with d(x_i, x_j) = t in
         document order.  Every modulus table takes one maximum per group, and
         the pairs with d <= t are the groups of a prefix for every threshold t.
+        Pairs are grouped and sorted by the ints of `int_metric`; t is the
+        metric entry of a group's first pair.
         """
         n, metric = self.n, self.metric
+        ints = self.int_metric[0]
         groups = {}
         for i in range(n):
-            row = metric[i]
+            row = ints[i]
             for j in range(i + 1, n):
                 groups.setdefault(row[j], []).append((i, j))
-        return tuple((t, tuple(groups[t])) for t in sorted(groups))
+        return tuple(
+            (metric[pairs[0][0]][pairs[0][1]], tuple(pairs))
+            for _, pairs in sorted(groups.items())
+        )
 
     def realized_distances(self) -> tuple:
         """Sorted distinct positive distances d(x, y), x != y."""
         return tuple(t for t, _ in self.distance_groups)
 
 
-def _check_metric(points, rows):
+def _scaled(rows) -> tuple:
+    """(ints, scale) for a matrix of rationals, as `FiniteSystem.int_metric`."""
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    ints = tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
+    )
+    return ints, scale
+
+
+def _check_metric(points, rows) -> tuple:
+    """Validate a square matrix of Fractions as a metric on points and return
+    its `_scaled` form.  Every check compares the ints; the messages quote the
+    Fraction entries."""
     n = len(points)
+    ints, scale = _scaled(rows)
     for i in range(n):
-        if rows[i][i] != 0:
+        ri = ints[i]
+        if ri[i] != 0:
             raise MetricViolation(f"d({points[i]},{points[i]}) = {rows[i][i]}, expected 0")
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if ri[j] != ints[j][i]:
                 raise MetricViolation(
                     f"asymmetry at ({points[i]},{points[j]}): {rows[i][j]} vs {rows[j][i]}"
                 )
-            if rows[i][j] <= 0:
+            if ri[j] <= 0:
                 raise MetricViolation(
                     f"nonpositive distance d({points[i]},{points[j]}) = {rows[i][j]}"
                 )
-    # The triangle inequality on integers over one common denominator.  Rows
-    # are symmetric here, so column j is row j, and d(i, j) <= d(i, k) + d(k, j)
-    # for every k is one comparison against the least row sum.  A pair (j, i)
-    # fails exactly when (i, j) does, so the first failing triple in (i, j, k)
-    # order has i < j; only a failing pair rescans k to name it.
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    # The triangle inequality.  Rows are symmetric here, so column j is row j,
+    # and d(i, j) <= d(i, k) + d(k, j) for every k is one comparison against
+    # the least row sum.  A pair (j, i) fails exactly when (i, j) does, so the
+    # first failing triple in (i, j, k) order has i < j; only a failing pair
+    # rescans k to name it.
     for i in range(n):
         ri = ints[i]
         for j in range(i + 1, n):
@@ -158,6 +224,7 @@ def _check_metric(points, rows):
                     f"({points[i]},{points[j]},{points[k]}): "
                     f"{rows[i][j]} > {rows[i][k]} + {rows[k][j]}"
                 )
+    return ints, scale
 
 
 def _permutation_of(points, mapping):
@@ -195,7 +262,19 @@ def parse_system(document) -> FiniteSystem:
     metric = doc["metric"]
     if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
         raise InvalidDocument("'metric' must be a list of rows")
-    rows = [[parse_rational(v) for v in row] for row in metric]
+    # Each distinct literal is parsed once.  Only strings are memoized: a JSON
+    # true equals 1 as a key, and must still be rejected.
+    literals = {}
+
+    def parse(v):
+        if type(v) is not str:
+            return parse_rational(v)
+        value = literals.get(v)
+        if value is None:
+            value = literals[v] = parse_rational(v)
+        return value
+
+    rows = [[parse(v) for v in row] for row in metric]
     if not isinstance(doc["map"], dict):
         raise InvalidDocument("'map' must be an object")
     return FiniteSystem.build(points, rows, doc["map"])

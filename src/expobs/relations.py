@@ -15,7 +15,11 @@ denominator.  The distance thresholds read the pairs grouped by realized
 distance, ascending (`FiniteSystem.distance_groups`): the moduli (omega_map,
 omega_obs, and omega_h in `algebra`) are tables with one maximum per group,
 a single-t modulus is a lookup into its table, and gamma_k and the chain
-components read a prefix of the groups.
+components read a prefix of the groups.  Both structures are built by
+comparing the ints of `FiniteSystem.int_metric`, the metric over one common
+denominator; their D and t values are the system's own Fraction entries.
+The periodic levels read the powers f^k, one shared system per k modulo the
+order of f (`power_system`), and the k-fixed points from the cycle lengths.
 """
 
 from __future__ import annotations
@@ -281,14 +285,20 @@ def chain_components(system: FiniteSystem, t: Fraction) -> tuple:
 
 
 def pointwise_constants(system: FiniteSystem) -> dict:
-    """delta_x = min_{y != x} D(x, y) for every point x (document order)."""
+    """delta_x = min_{y != x} D(x, y) for every point x (document order).
+
+    The pair cycles are sorted by D, so delta_x is the D of the first cycle
+    that holds a pair with x in it.
+    """
     if system.n < 2:
         raise DegenerateSpace("pointwise constants need at least two points")
-    best = [INF] * system.n
+    best = [None] * system.n
     for d, cycle in system.orbit_cycles:
         for i, j in cycle:
-            best[i] = min(best[i], d)
-            best[j] = min(best[j], d)
+            if best[i] is None:
+                best[i] = d
+            if best[j] is None:
+                best[j] = d
     return dict(zip(system.points, best))
 
 
@@ -312,29 +322,43 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
 
     f^k rotates each cycle of the permutation by k modulo its length, so the
     cost is O(n) for every k; a negative k rotates backwards (the inverse).
+    f^k depends only on k modulo the order of f (the lcm of its cycle
+    lengths), and each system caches its powers under that key: every level
+    and observable asking for one power share one system, so its pair cycles
+    are walked once.  The key of f itself returns the system.  A power takes
+    the system's `int_metric`, since its metric is the same.
     """
     if k == 0:
         raise ValueError("power_system needs k != 0")
-    base = system.perm
-    perm = [None] * system.n
-    for start in range(system.n):
-        if perm[start] is not None:
-            continue
-        cycle = [start]
-        while base[cycle[-1]] != start:
-            cycle.append(base[cycle[-1]])
-        shift = k % len(cycle)
-        for pos, i in enumerate(cycle):
-            perm[i] = cycle[(pos + shift) % len(cycle)]
-    return FiniteSystem(system.points, system.metric, tuple(perm))
+    cycles = system.cycles
+    order = math.lcm(*map(len, cycles))
+    key = k % order
+    if key == 1 % order:
+        return system
+    power = system._powers.get(key)
+    if power is None:
+        perm = [0] * system.n
+        for cycle in cycles:
+            shift = key % len(cycle)
+            for pos, i in enumerate(cycle):
+                perm[i] = cycle[(pos + shift) % len(cycle)]
+        power = FiniteSystem(system.points, system.metric, tuple(perm))
+        object.__setattr__(power, "int_metric", system.int_metric)
+        system._powers[key] = power
+    return power
 
 
 def fixed_points(system: FiniteSystem, k: int) -> tuple:
-    """Points with f^k(x) = x, in document order (k >= 1)."""
+    """Points with f^k(x) = x, in document order (k >= 1): the points whose
+    cycle length divides k."""
     if k < 1:
         raise ValueError("fixed_points needs k >= 1")
-    perm = power_system(system, k).perm
-    return tuple(p for i, p in enumerate(system.points) if perm[i] == i)
+    fixed = [False] * system.n
+    for cycle in system.cycles:
+        if k % len(cycle) == 0:
+            for i in cycle:
+                fixed[i] = True
+    return tuple(p for p, is_fixed in zip(system.points, fixed) if is_fixed)
 
 
 @dataclass(frozen=True)

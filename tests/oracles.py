@@ -223,6 +223,18 @@ def brute_omega_h(conj, t: Fraction) -> Fraction:
     return best
 
 
+def fraction_is_isometry(conj) -> bool:
+    """Whether h preserves every distance, by comparing the Fraction metric
+    entries of each pair of source points with those of their images."""
+    h = conj.h
+    pts = conj.source.points
+    return all(
+        conj.source.dist(a, b) == conj.target.dist(h[a], h[b])
+        for i, a in enumerate(pts)
+        for b in pts[i + 1:]
+    )
+
+
 def brute_gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
     """Largest realized t whose pairs all keep their first k iterates within e,
     found by testing every realized t from the top."""

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from expobs import algebra
 from expobs.algebra import (
     Conjugacy,
     conjugacy_invariance_report,
@@ -17,7 +18,7 @@ from expobs.algebra import (
     omega_h_table,
     transport,
 )
-from expobs.errors import NonConvergent, NotAConjugacy
+from expobs.errors import HorizonExceeded, NonConvergent, NotAConjugacy
 from expobs.exact import INF, GaussianRational
 from expobs.library import rotation_grid
 from expobs.model import FiniteSystem, Observable
@@ -72,6 +73,21 @@ class TestLawSuite:
         assert delta_star(l4, obs_scale(GaussianRational.of(7), phi)) == 2
         assert delta_star(l4, obs_scale(GaussianRational.of(0), phi)) is INF
         assert delta_star(l4, obs_conjugate(phi)) == 2
+
+
+class TestCountBudgets:
+    def test_trials_up_to_the_limit_run(self, l4, monkeypatch):
+        monkeypatch.setattr(algebra, "LAW_TRIAL_LIMIT", 3)
+        assert law_suite(l4, trials=3, seed=0).checks == 15
+        with pytest.raises(HorizonExceeded, match="trials = 4 is over the limit of 3"):
+            law_suite(l4, trials=4, seed=0)
+
+    def test_samples_up_to_the_limit_run(self, l4, monkeypatch):
+        monkeypatch.setattr(algebra, "CONJUGACY_SAMPLE_LIMIT", 3)
+        conj = Conjugacy.build(l4, l4, {p: p for p in l4.points})
+        assert len(conjugacy_invariance_report(conj, samples=3).entries) == 3
+        with pytest.raises(HorizonExceeded, match="samples = 4 is over the limit of 3"):
+            conjugacy_invariance_report(conj, samples=4)
 
 
 class TestLimitStability:
@@ -159,6 +175,45 @@ class TestConjugacy:
         assert report.omega_table == tuple(
             (t, 2 * t) for t in l4.realized_distances()
         )
+
+    def test_is_isometry_matches_fraction_comparison(self, small_corpus):
+        """Each corpus system against itself (by the identity and along f), a
+        relabelled conjugate, a copy with its metric halved, and a copy with
+        an unrelated metric."""
+        outcomes = {True: 0, False: 0, "same scale, not isometric": 0}
+        for idx, system in enumerate(small_corpus):
+            rng = random.Random(idx)
+            identity = {p: p for p in system.points}
+            along_f = {p: system.apply(p) for p in system.points}
+            names = [f"r{i}" for i in range(system.n)]
+            rng.shuffle(names)
+            relabel = dict(zip(system.points, names))
+            order = sorted(range(system.n), key=names.__getitem__)
+            relabelled = FiniteSystem.build(
+                [names[i] for i in order],
+                [[system.metric[i][j] for j in order] for i in order],
+                {relabel[p]: relabel[system.apply(p)] for p in system.points},
+            )
+            halved = FiniteSystem.build(
+                system.points, [[v / 2 for v in row] for row in system.metric], along_f
+            )
+            other = random_system(rng, system.n, system.n)
+            remetric = FiniteSystem.build(system.points, other.metric, along_f)
+            cases = [
+                (system, identity),
+                (system, along_f),
+                (relabelled, relabel),
+                (halved, identity),
+                (remetric, identity),
+            ]
+            for target, mapping in cases:
+                conj = Conjugacy.build(system, target, mapping)
+                expected = oracles.fraction_is_isometry(conj)
+                assert conj.is_isometry() == expected
+                outcomes[expected] += 1
+                if system.int_metric[1] == target.int_metric[1] and not expected:
+                    outcomes["same scale, not isometric"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_omega_h_table_matches_brute_force(self, small_corpus):
         """Conjugacies of each corpus system to itself along f, and to a copy

@@ -226,6 +226,22 @@ class TestSmallCommands:
             "--map", '{"a": "a", "b": "b", "c": "c", "d": "d"}', "--samples", "-3",
         ))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["laws", "--system", L4_DOC, "--trials", "100000000", "--seed", "1"],
+            ["conjugacy", "--source", L4_DOC, "--target", L4_DOC,
+             "--map", '{"a": "a", "b": "b", "c": "c", "d": "d"}',
+             "--samples", "100000000"],
+        ],
+        ids=["laws-trials", "conjugacy-samples"],
+    )
+    def test_count_over_budget_exits_one_fast(self, capsys, argv):
+        start = perf_counter()
+        result = run(capsys, *argv)
+        assert perf_counter() - start < 1
+        assert_one_error_line(*result)
+
 
 class TestHostileConjugacyMaps:
     """A conjugacy map that is not an object of target points gets exit 1

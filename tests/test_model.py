@@ -10,6 +10,7 @@ from expobs.errors import (
     DegenerateSpace,
     DomainMismatch,
     InvalidDocument,
+    MalformedRational,
     MetricViolation,
     NotABijection,
     UnknownPoint,
@@ -99,6 +100,70 @@ class TestParseSystem:
         s = parse_system(L4_DOC)
         with pytest.raises(UnknownPoint):
             s.index("zebra")
+
+
+def identity_document(metric):
+    """A system document on points a, b, ... with this metric and f = id."""
+    points = [chr(ord("a") + i) for i in range(len(metric))]
+    return {"points": points, "metric": metric, "map": {p: p for p in points}}
+
+
+class TestIngestMessages:
+    """Each bad metric is refused with the same exception and message as
+    before ingest validated on ints."""
+
+    @pytest.mark.parametrize(
+        "metric, error, message",
+        [
+            ([["0", "1"], ["1", "1/2"]], MetricViolation, "d(b,b) = 1/2, expected 0"),
+            ([["0", "1", "2"], ["1", "0", "1"], ["2", "3/2", "0"]],
+             MetricViolation, "asymmetry at (b,c): 1 vs 3/2"),
+            ([["0", "0"], ["0", "0"]], MetricViolation, "nonpositive distance d(a,b) = 0"),
+            ([["0", "-1/3"], ["-1/3", "0"]],
+             MetricViolation, "nonpositive distance d(a,b) = -1/3"),
+            ([["0", "1/2", "7/3"], ["1/2", "0", "5/4"], ["7/3", "5/4", "0"]],
+             MetricViolation, "triangle inequality fails at (a,c,b): 7/3 > 1/2 + 5/4"),
+            ([["0", True], [True, "0"]], MalformedRational, "not a rational literal: True"),
+            ([["0", "1", "2"], ["1", "0", True], ["2", True, "0"]],
+             MalformedRational, "not a rational literal: True"),
+            ([["0", 1.5], [1.5, "0"]], MalformedRational, "not a rational literal: 1.5"),
+            ([["0", "1/0"], ["1/0", "0"]], MalformedRational, "not a rational literal: '1/0'"),
+            ([["0", ""], ["", "0"]], MalformedRational, "not a rational literal: ''"),
+        ],
+        ids=["diagonal", "asymmetry", "zero", "negative", "triangle", "true",
+             "true-after-one", "float", "zero-denominator", "empty"],
+    )
+    def test_rejected_with_the_same_message(self, metric, error, message):
+        with pytest.raises(error) as info:
+            parse_system(identity_document(metric))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_int_str_and_fraction_rows_build_equal_systems(self, small_corpus):
+        for system in small_corpus:
+            mapping = {p: system.apply(p) for p in system.points}
+            ints = system.int_metric[0]
+            built = [
+                FiniteSystem.build(
+                    system.points, [[convert(x) for x in row] for row in ints], mapping
+                )
+                for convert in (int, str, Fraction)
+            ]
+            for other in built:
+                assert other.metric == built[0].metric
+                assert other.orbit_cycles == built[0].orbit_cycles
+                assert other.int_metric == (ints, 1)
+            text_rows = [[str(v) for v in row] for row in system.metric]
+            from_text = FiniteSystem.build(system.points, text_rows, mapping)
+            assert from_text.metric == system.metric
+            assert from_text.orbit_cycles == system.orbit_cycles
+
+    def test_equal_distances_share_one_object(self):
+        system = parse_system(identity_document(
+            [["0", "1/2", "2/4"], ["1/2", "0", "1"], [Fraction(1, 2), "1", "0"]]
+        ))
+        halves = {id(v) for row in system.metric for v in row if v == Fraction(1, 2)}
+        assert len(halves) == 1
 
 
 class TestSystemBasics:

@@ -4,7 +4,9 @@
 and name, so a target that is renamed, removed, or turned from a method into
 a property breaks `perfbench/run.py --trace 1`.  This test loads that file
 as it is, installs its tracer over the package, and checks that traced runs
-print the same bytes as untraced ones and record spans.
+print the same bytes as untraced ones and record spans.  The periodic
+levels of `analyze` must reach the module functions the tracer patches, so
+a power cache that went round them would fail here.
 """
 
 import importlib.util
@@ -31,6 +33,19 @@ def load_spans():
     return module
 
 
+def names_inside(tracer, name) -> set:
+    """Names of the spans recorded inside some span with this name."""
+    inside = set()
+    for idx, fid in enumerate(tracer.fid):
+        parent = tracer.parent[idx]
+        while parent >= 0:
+            if tracer.names[tracer.fid[parent]] == name:
+                inside.add(tracer.names[fid])
+                break
+            parent = tracer.parent[parent]
+    return inside
+
+
 def outputs(tmp_path, tag):
     out = []
     for k, argv in enumerate(RUNS):
@@ -52,4 +67,7 @@ def test_traced_runs_print_the_same_bytes_and_record_spans(tmp_path):
     assert [code for code, _ in plain] == [0, 0]
     recorded = {tracer.names[fid] for fid in tracer.fid}
     assert {"main", "analyze", "realized_distances", "mesh", "certify"} <= recorded
+    assert {"power_system", "fixed_points", "periodic_level_report"} <= names_inside(
+        tracer, "analyze"
+    )
     assert outputs(tmp_path, "after") == plain

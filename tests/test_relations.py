@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from expobs.exact import INF, GaussianRational
 from expobs.library import rotation_grid
-from expobs.model import Observable, distance_observable
+from expobs.model import FiniteSystem, Observable, distance_observable
 from expobs.relations import (
     chain_components,
     delta_star,
@@ -303,6 +303,32 @@ class TestPowersAndPeriodicLevels:
                     )
         with pytest.raises(ValueError):
             power_system(small_corpus[0], 0)
+
+    def test_cached_powers_match_iteration(self, small_corpus, observables_for):
+        """One power per exponent modulo the order, the system itself for f,
+        fixed points from cycle lengths, and delta_star on a cached power as
+        on an uncached system with the same map, which walks its own cycles."""
+        for idx, system in enumerate(small_corpus):
+            order = oracles.permutation_order(system)
+            observables = observables_for(system, 2, seed=300 + idx)
+            assert power_system(system, 1) is system
+            for k in [*range(-2 * order, 0), *range(1, 2 * order + 1)]:
+                power = power_system(system, k)
+                perm = oracles.brute_power_perm(system, k)
+                assert power.perm == perm
+                for other in (k + order, k - order):
+                    if other:
+                        assert power_system(system, other) is power
+                if k >= 1:
+                    assert fixed_points(system, k) == tuple(
+                        p for i, p in enumerate(system.points) if perm[i] == i
+                    )
+                fresh = FiniteSystem(system.points, system.metric, power.perm)
+                assert power.orbit_cycles == fresh.orbit_cycles
+                for phi in observables:
+                    assert delta_star(power, phi) == delta_star(fresh, phi)
+            with pytest.raises(ValueError):
+                power_system(system, 0)
 
     def test_power_system_huge_exponent(self, small_corpus):
         for system in small_corpus:
