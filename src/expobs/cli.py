@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .algebra import Conjugacy, conjugacy_invariance_report, law_suite
@@ -481,9 +482,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on the first call, not at import, so
+    importing the module stays cheap.  Parsing never changes it, since every
+    call parses into a fresh namespace and `append` actions copy their
+    default list before adding to it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvariantViolation as exc:

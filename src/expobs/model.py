@@ -281,9 +281,16 @@ def parse_system(document) -> FiniteSystem:
 
 
 def serialize_system(system: FiniteSystem) -> dict:
+    # One string per distinct distance, found by its int in `int_metric`.
+    ints = system.int_metric[0]
+    text = {}
+    for irow, row in zip(ints, system.metric):
+        for x, v in zip(irow, row):
+            if x not in text:
+                text[x] = format_rational(v)
     return {
         "points": list(system.points),
-        "metric": [[format_rational(v) for v in row] for row in system.metric],
+        "metric": [[text[x] for x in irow] for irow in ints],
         "map": {p: system.points[system.perm[i]] for i, p in enumerate(system.points)},
     }
 

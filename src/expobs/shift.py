@@ -343,7 +343,7 @@ def obs_stable_equiv(x: EPPoint, y: EPPoint, phi: CylinderObservable, side: str)
 
 # --- enumeration and searches ------------------------------------------------
 
-# Most raw descriptions `enumerate_points` may build: "01" at bound 11
+# Most raw descriptions an enumeration may range over: "01" at bound 11
 # (434 052) and "012" at bound 8 (398 556) fit, "01" at bound 12 (1 081 212)
 # does not.
 ENUMERATION_LIMIT = 1_000_000
@@ -374,32 +374,57 @@ def enumerate_points(alphabet: tuple, bound: int) -> tuple:
     (size, left, core, right, offset).
 
     Every canonical point of size <= bound is its own raw description, so
-    iterating raw descriptions of size <= bound and filtering on canonical
-    size is exhaustive.  Raises HorizonExceeded first when that would build
-    more than ENUMERATION_LIMIT raw descriptions.
+    the points are exactly the raw descriptions of size <= bound that
+    `_canonicalize` leaves as they are.  Those are the descriptions with
+    primitive tails that meet one of:
+
+    - the core is nonempty, core[0] != left[0] and core[-1] != right[-1]
+      (neither core trimming loop takes a letter);
+    - the core is empty, left == right and offset == 0 (the periodic case,
+      whose word is read from coordinate 0);
+    - the core is empty and left[0] != right[0] (the boundary push does not
+      move).
+
+    They are generated directly from the primitive words of each length, so
+    no other description is built.  Raises HorizonExceeded first when the
+    raw descriptions number more than ENUMERATION_LIMIT.
     """
+    alphabet = tuple(alphabet)
     _check_enumeration_budget(len(alphabet), bound)
-    seen = {}
-    for total in range(2, bound + 1):
-        for llen in range(1, total + 1):
-            for clen in range(0, total - llen + 1):
-                for rlen in range(1, total - llen - clen + 1):
-                    off_abs = total - llen - clen - rlen
-                    offsets = (0,) if off_abs == 0 else (-off_abs, off_abs)
-                    for offset in offsets:
-                        for lw in product(alphabet, repeat=llen):
-                            for cw in product(alphabet, repeat=clen):
-                                for rw in product(alphabet, repeat=rlen):
-                                    p = EPPoint.make(
-                                        "".join(lw), "".join(cw), "".join(rw),
-                                        offset, alphabet,
-                                    )
-                                    if p.size <= bound:
-                                        key = (p.left, p.core, p.right, p.offset)
-                                        seen.setdefault(key, p)
-    return tuple(
-        sorted(seen.values(), key=lambda p: (p.size, p.left, p.core, p.right, p.offset))
-    )
+    if bound >= 2 and any(len(s) != 1 for s in alphabet):
+        raise InvalidDocument("alphabet symbols must be single characters")
+    letters = tuple(dict.fromkeys(alphabet))
+    words = [[""]]
+    for _ in range(1, bound):
+        words.append([w + a for w in words[-1] for a in letters])
+    primitive = [[w for w in ws if w not in (w + w)[1:-1]] for ws in words]
+    # cores[clen][(a, b)]: cores of length clen starting off a and ending off b.
+    cores = [None] + [
+        {(a, b): [c for c in ws if c[0] != a and c[-1] != b]
+         for a in letters for b in letters}
+        for ws in words[1:]
+    ]
+    found = []
+    for llen in range(1, bound):
+        for rlen in range(1, bound - llen + 1):
+            tails = llen + rlen
+            room = bound - tails  # left for the core and |offset|
+            for left in primitive[llen]:
+                for right in primitive[rlen]:
+                    if left == right:
+                        found.append((tails, left, "", right, 0))
+                    elif left[0] != right[0]:
+                        found.extend((tails + abs(off), left, "", right, off)
+                                     for off in range(-room, room + 1))
+                    ends = (left[0], right[-1])
+                    for clen in range(1, room + 1):
+                        span = room - clen
+                        for core in cores[clen][ends]:
+                            found.extend((tails + clen + abs(off), left, core, right, off)
+                                         for off in range(-span, span + 1))
+    found.sort()
+    return tuple(EPPoint(left, core, right, offset, alphabet)
+                 for _, left, core, right, offset in found)
 
 
 @dataclass(frozen=True)
@@ -450,6 +475,41 @@ class BallInclusionReport:
         return not self.counterexamples
 
 
+def _ray_key(y: EPPoint, side: str, k: int) -> tuple:
+    """(word, tail) spelling y on the ray [-k, infinity) as word + tail^inf
+    (side 's'), or on (-infinity, k] as tail^inf + word (side 'u').
+
+    The word runs from the ray's finite end to where y's tail on that side
+    takes over, and the tail is read at its phase there.  It is then trimmed as
+    `_canonicalize` trims cores, so the word is as short as it can be.
+    """
+    if side == "s":
+        stop = max(y.end, -k)
+        word = y.window(-k, stop)
+        phase = (stop - y.end) % len(y.right)
+        tail = y.right[phase:] + y.right[:phase]
+        while word and word[-1] == tail[-1]:
+            word, tail = word[:-1], tail[-1] + tail[:-1]
+    else:
+        begin = min(y.start, k + 1)
+        word = y.window(begin, k + 1)
+        phase = (begin - y.start) % len(y.left)
+        tail = y.left[phase:] + y.left[:phase]
+        while word and word[0] == tail[0]:
+            word, tail = word[1:], tail[1:] + tail[0]
+    return word, tail
+
+
+@lru_cache(maxsize=8)
+def _ray_index(alphabet: tuple, bound: int, side: str, k: int) -> MappingProxyType:
+    """Ray key at (side, k) -> the enumerated points with that ray, in
+    enumeration order; shared by every query, hence read-only."""
+    index = {}
+    for y in enumerate_points(alphabet, bound):
+        index.setdefault(_ray_key(y, side, k), []).append(y)
+    return MappingProxyType({key: tuple(group) for key, group in index.items()})
+
+
 def check_ball_inclusion(
     x: EPPoint,
     phi: CylinderObservable,
@@ -462,37 +522,39 @@ def check_ball_inclusion(
     that side.  Counterexamples would refute the windowed-observable theorem,
     so the expected value is always 'none'.
 
-    Only points in x's tail class can lie in the ball.  A point y of the
-    s-ball agrees with x on a ray [-k, infinity), so both sequences have the
-    same least eventual period there; canonical tails are primitive, so
-    y.right has the length of x.right and is one of its rotations (mirrored
-    for side 'u' and the left tails).  Each point of that class is decided
-    by one window comparison against x on a common horizon: one tail period
-    beyond every core and beyond -k.  That window contains each pair's own
-    window in `in_dynamical_ball`, and agreement on the shorter one already
-    forces agreement on the whole ray, so both windows give the same answer.
+    A point y lies in the s-ball of radius 2^(-k) exactly when its one-sided
+    sequence on [-k, infinity) equals x's (mirrored on (-infinity, k] for
+    side 'u').  That ray is word + tail^inf: the word up to where y's right
+    tail takes over, then the tail at its phase there.  The tail is
+    primitive, so the ray's least eventual period is its length; trimming
+    the word while its last letter repeats the tail's leaves the shortest
+    word after which the ray has that period.  Both are fixed by the ray
+    alone, so two rays are equal exactly when their trimmed (word, tail)
+    keys are, and the ball is one lookup in an index of the enumerated
+    points by key.
+
+    The index is built on the first query for each (alphabet, bound, side,
+    k).  Past k = bound^2 two distinct enumerated points can no longer share
+    a ray: they would agree on a full common period of their left tails
+    before both cores (right tails after both cores for 'u'), because each
+    tail is shorter than bound and each core lies inside (-bound, bound).
+    Larger radii therefore look up the index at bound^2 and compare its at
+    most one candidate with x on the whole ray.
     """
     if x.alphabet is None:
         raise InvalidDocument("base point needs an explicit alphabet")
     k = snap_epsilon(eps)
     # Enumerated over x's alphabet, so no candidate needs an alphabet check.
-    candidates = enumerate_points(tuple(x.alphabet), bound)
-    if side == "s":
-        period, doubled = len(x.right), x.right * 2
-        same_tail = [y for y in candidates
-                     if len(y.right) == period and y.right in doubled]
-        hi = max(x.end, -k, *(y.end for y in same_tail)) + period
-        ref = x.window(-k, hi)
-        in_ball = [y for y in same_tail if y.window(-k, hi) == ref]
-    elif side == "u":
-        period, doubled = len(x.left), x.left * 2
-        same_tail = [y for y in candidates
-                     if len(y.left) == period and y.left in doubled]
-        lo = min(x.start, k + 1, *(y.start for y in same_tail)) - period
-        ref = x.window(lo, k + 1)
-        in_ball = [y for y in same_tail if y.window(lo, k + 1) == ref]
-    else:
+    alphabet = tuple(x.alphabet)
+    candidates = enumerate_points(alphabet, bound)
+    if side not in ("s", "u"):
         raise ValueError("side must be 's' or 'u'")
+    k_index = min(k, bound * bound)
+    in_ball = _ray_index(alphabet, bound, side, k_index).get(
+        _ray_key(x, side, k_index), ()
+    )
+    if k > k_index:
+        in_ball = [y for y in in_ball if in_dynamical_ball(x, y, eps, side)]
     counterexamples = tuple(
         y for y in in_ball if not obs_stable_equiv(x, y, phi, side)
     )

@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from expobs.circle import PLCircleMap
 from expobs.exact import INF, GaussianRational
 from expobs.model import FiniteSystem, Observable
 from expobs.relations import _pair_orbit
 from expobs.sampling import random_metric
-from expobs.shift import CylinderObservable, EPPoint, enumerate_points, in_dynamical_ball
+from expobs.shift import CylinderObservable, EPPoint, in_dynamical_ball
 
 
 def permutation_order(system: FiniteSystem) -> int:
@@ -312,7 +314,7 @@ def triangle_violation(points, rows):
 
 
 def raw_description_count(letters: int, bound: int) -> int:
-    """Raw descriptions `enumerate_points` builds, by the same loops over
+    """Raw descriptions `brute_enumerate` builds, by the same loops over
     total size, tail and core lengths and offset sign."""
     count = 0
     for total in range(2, bound + 1):
@@ -324,10 +326,39 @@ def raw_description_count(letters: int, bound: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def brute_enumerate(alphabet: tuple, bound: int) -> tuple:
+    """All distinct EPPoints with description size <= bound, ordered by
+    (size, left, core, right, offset): every raw description of size
+    <= bound goes through `EPPoint.make`, and the canonical results of size
+    <= bound are kept once each."""
+    seen = {}
+    for total in range(2, bound + 1):
+        for llen in range(1, total + 1):
+            for clen in range(0, total - llen + 1):
+                for rlen in range(1, total - llen - clen + 1):
+                    off_abs = total - llen - clen - rlen
+                    offsets = (0,) if off_abs == 0 else (-off_abs, off_abs)
+                    for offset in offsets:
+                        for lw in product(alphabet, repeat=llen):
+                            for cw in product(alphabet, repeat=clen):
+                                for rw in product(alphabet, repeat=rlen):
+                                    p = EPPoint.make(
+                                        "".join(lw), "".join(cw), "".join(rw),
+                                        offset, alphabet,
+                                    )
+                                    if p.size <= bound:
+                                        key = (p.left, p.core, p.right, p.offset)
+                                        seen.setdefault(key, p)
+    return tuple(
+        sorted(seen.values(), key=lambda p: (p.size, p.left, p.core, p.right, p.offset))
+    )
+
+
 def brute_ball(x: EPPoint, eps: Fraction, side: str, bound: int) -> list:
-    """The enumerated points of the one-sided dynamical ball around x, in
-    enumeration order, by one `in_dynamical_ball` call per point."""
-    return [y for y in enumerate_points(tuple(x.alphabet), bound)
+    """The points of `brute_enumerate` in the one-sided dynamical ball around
+    x, in enumeration order, by one `in_dynamical_ball` call per point."""
+    return [y for y in brute_enumerate(tuple(x.alphabet), bound)
             if in_dynamical_ball(x, y, eps, side)]
 
 

@@ -176,6 +176,45 @@ class TestHostileSymbolicDocuments:
         ))
 
 
+class TestSharedParser:
+    """`main` builds its parser once and reuses it, so every call must act as
+    it would on a freshly built parser."""
+
+    def test_observable_lists_do_not_leak_between_calls(self, capsys):
+        other = json.dumps({"values": {"a": "0", "b": "1", "c": "0", "d": "1"}})
+        one = ["analyze", "--system", L4_DOC, "--observable", SPLIT_OBS, "--seed", "3"]
+        two = one + ["--observable", other]
+        fresh = {}
+        for argv in (one, two):
+            args = cli.build_parser().parse_args(argv)
+            fresh[tuple(argv)] = (args.func(args), capsys.readouterr().out)
+        assert len(json.loads(fresh[tuple(one)][1])["observables"]) == 1
+        assert len(json.loads(fresh[tuple(two)][1])["observables"]) == 2
+        for argv in (two, one, two, one):
+            code, out, err = run(capsys, *argv)
+            assert ((code, out), err) == (fresh[tuple(argv)], "")
+        shared = cli._shared_parser()
+        assert shared.parse_args(["analyze", "--system", L4_DOC]).observable == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--version"], ["symbolic", "ball", "--x", ZERO_PT]],
+        ids=["help", "version", "usage-error"],
+    )
+    def test_exits_match_a_fresh_parser(self, capsys, argv):
+        def exit_of(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            return info.value.code, captured.out, captured.err
+
+        fresh = exit_of(lambda a: cli.build_parser().parse_args(a))
+        run(capsys, "dstar", "--system", L4_DOC, "--observable", SPLIT_OBS)
+        assert exit_of(main) == fresh
+        assert exit_of(main) == fresh
+        assert fresh[0] == (2 if argv[0] == "symbolic" else 0)
+
+
 class TestSmallCommands:
     def test_dstar(self, capsys):
         code, out, _ = run(
@@ -191,6 +230,14 @@ class TestSmallCommands:
         )
         assert code == 0
         assert json.loads(out)["blocks"] == [["a", "b", "c", "d"]]
+
+    def test_quotient_at_threshold_zero(self, capsys):
+        code, out, err = run(
+            capsys, "quotient", "--system", L4_DOC, "--threshold", "0"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"threshold": "0",
+                                   "blocks": [["a"], ["b"], ["c"], ["d"]]}
 
     def test_laws_pass(self, capsys):
         code, out, _ = run(

@@ -103,6 +103,21 @@ class TestOrbitDistance:
         table = orbit_distance_table(cat5)
         assert pair_orbit_sup(cat5, "0,0", "2,3") == table.dist("0,0", "2,3")
 
+    def test_single_pair_walk_finds_a_later_maximum(self, cat5, small_corpus):
+        # Pairs whose orbit maximum is not their own distance, so a walk
+        # that stopped after its first step would miss it.
+        later = [
+            (system, i, j)
+            for system in (cat5, *small_corpus)
+            for i in range(system.n)
+            for j in range(i + 1, system.n)
+            if system.metric[i][j] < oracles.brute_orbit_sup(system, i, j)
+        ]
+        assert len(later) > 100
+        for system, i, j in later:
+            x, y = system.points[i], system.points[j]
+            assert pair_orbit_sup(system, x, y) == oracles.brute_orbit_sup(system, i, j)
+
     def test_min_pair_distance_positive(self, l4):
         assert oracles.min_pair_distance(l4, "0", "3") > 0
         assert oracles.min_pair_distance(l4, "0", "0") == 0
@@ -161,6 +176,14 @@ class TestQuotients:
     def test_l4_blocks_at_one(self, l4):
         q = indistinguishability_quotient(l4, Fraction(1))
         assert q.blocks == (("0", "1"), ("2", "3"))
+
+    def test_threshold_zero_gives_singletons(self, l4, cat5, small_corpus):
+        # Distinct points have D > 0, so no pair joins a block at 0.
+        for system in (l4, cat5, *small_corpus):
+            q = indistinguishability_quotient(system, Fraction(0))
+            assert q.threshold == 0
+            assert q.blocks == tuple((p,) for p in system.points)
+            assert q.blocks == oracles.brute_quotient_blocks(system, Fraction(0))
 
     def test_expansive_iff_constant_on_blocks(self, l4):
         q = indistinguishability_quotient(l4, Fraction(1))

@@ -258,6 +258,17 @@ class TestEnumeration:
         with pytest.raises(HorizonExceeded):
             enumerate_points(("0", "1"), bound)
 
+    @pytest.mark.parametrize("alphabet, top", [(("0",), 9), (("0", "1"), 8), (("0", "1", "2"), 5)],
+                             ids=["unary", "binary", "ternary"])
+    def test_matches_brute_enumeration(self, alphabet, top):
+        # Same points in the same order, and each carries the alphabet.
+        for bound in range(top + 1):
+            fast = enumerate_points(alphabet, bound)
+            brute = oracles.brute_enumerate(alphabet, bound)
+            assert [(p.left, p.core, p.right, p.offset, p.alphabet) for p in fast] == [
+                (p.left, p.core, p.right, p.offset, p.alphabet) for p in brute
+            ], bound
+
 
 class TestBallInclusion:
     def test_full_shift_small(self):
@@ -323,10 +334,48 @@ class TestBallInclusionOracle:
                 rejected = check_ball_inclusion(x, phi, eps, side, bound)
             assert rejected.counterexamples == tuple(ball), (x, eps, side, bound)
 
+    @pytest.mark.parametrize("alphabet, bound", [("0", 8), ("01", 5), ("012", 4)])
+    def test_ray_lookup_matches_brute_force(self, monkeypatch, alphabet, bound):
+        """Every k up to bound + 1 and two past bound^2 (where the lookup
+        switches to its capped index), both sides, around enumerated points
+        and around points larger than the bound."""
+        rng = random.Random(bound)
+        pts = oracles.brute_enumerate(tuple(alphabet), bound)
+        bases = rng.sample(pts, min(8, len(pts)))
+
+        def word(lo, hi):
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(lo, hi)))
+
+        drawn = [EPPoint.make(word(1, 3), word(0, 4), word(1, 3), rng.randint(-9, 9), alphabet)
+                 for _ in range(40)]
+        # Over one letter every point is the fixed point, of size 2.
+        bases += [x for x in drawn if x.size > bound][:8]
+        assert len(bases) == (1 if alphabet == "0" else 16)
+        phi = CylinderObservable.injective(0, alphabet)
+        monkeypatch.setattr(shift_module, "obs_stable_equiv", lambda *args: False)
+        for x in bases:
+            for side in "su":
+                for k in (*range(bound + 2), bound * bound + 1, 3 * bound * bound):
+                    eps = Fraction(1, 2 ** k)
+                    ball = tuple(oracles.brute_ball(x, eps, side, bound))
+                    report = check_ball_inclusion(x, phi, eps, side, bound)
+                    assert report.counterexamples == ball, (x, side, k)
+                    assert report.points_in_ball == len(ball)
+
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             check_ball_inclusion(EPPoint.make("0", alphabet="01"),
                                  CylinderObservable.injective(0, "01"), Fraction(1), "x", 4)
+
+    def test_error_order(self):
+        # Alphabet, then radius, then enumeration budget, then side.
+        phi = CylinderObservable.injective(0, "01")
+        with pytest.raises(InvalidDocument):
+            check_ball_inclusion(EPPoint.make("0"), phi, Fraction(0), "x", 20)
+        with pytest.raises(ValueError, match="radius"):
+            check_ball_inclusion(EPPoint.make("0", alphabet="01"), phi, Fraction(0), "x", 20)
+        with pytest.raises(HorizonExceeded):
+            check_ball_inclusion(EPPoint.make("0", alphabet="01"), phi, Fraction(1), "x", 20)
 
 
 class TestAsymptoticPairs:
