@@ -402,7 +402,7 @@ def enumerate_points(alphabet: tuple, bound: int) -> tuple:
     cores = [None] + [
         {(a, b): [c for c in ws if c[0] != a and c[-1] != b]
          for a in letters for b in letters}
-        for ws in words[1:]
+        for ws in words[1:-1]
     ]
     found = []
     for llen in range(1, bound):
@@ -475,41 +475,6 @@ class BallInclusionReport:
         return not self.counterexamples
 
 
-def _ray_key(y: EPPoint, side: str, k: int) -> tuple:
-    """(word, tail) spelling y on the ray [-k, infinity) as word + tail^inf
-    (side 's'), or on (-infinity, k] as tail^inf + word (side 'u').
-
-    The word runs from the ray's finite end to where y's tail on that side
-    takes over, and the tail is read at its phase there.  It is then trimmed as
-    `_canonicalize` trims cores, so the word is as short as it can be.
-    """
-    if side == "s":
-        stop = max(y.end, -k)
-        word = y.window(-k, stop)
-        phase = (stop - y.end) % len(y.right)
-        tail = y.right[phase:] + y.right[:phase]
-        while word and word[-1] == tail[-1]:
-            word, tail = word[:-1], tail[-1] + tail[:-1]
-    else:
-        begin = min(y.start, k + 1)
-        word = y.window(begin, k + 1)
-        phase = (begin - y.start) % len(y.left)
-        tail = y.left[phase:] + y.left[:phase]
-        while word and word[0] == tail[0]:
-            word, tail = word[1:], tail[1:] + tail[0]
-    return word, tail
-
-
-@lru_cache(maxsize=8)
-def _ray_index(alphabet: tuple, bound: int, side: str, k: int) -> MappingProxyType:
-    """Ray key at (side, k) -> the enumerated points with that ray, in
-    enumeration order; shared by every query, hence read-only."""
-    index = {}
-    for y in enumerate_points(alphabet, bound):
-        index.setdefault(_ray_key(y, side, k), []).append(y)
-    return MappingProxyType({key: tuple(group) for key, group in index.items()})
-
-
 def check_ball_inclusion(
     x: EPPoint,
     phi: CylinderObservable,
@@ -522,39 +487,37 @@ def check_ball_inclusion(
     that side.  Counterexamples would refute the windowed-observable theorem,
     so the expected value is always 'none'.
 
-    A point y lies in the s-ball of radius 2^(-k) exactly when its one-sided
-    sequence on [-k, infinity) equals x's (mirrored on (-infinity, k] for
-    side 'u').  That ray is word + tail^inf: the word up to where y's right
-    tail takes over, then the tail at its phase there.  The tail is
-    primitive, so the ray's least eventual period is its length; trimming
-    the word while its last letter repeats the tail's leaves the shortest
-    word after which the ray has that period.  Both are fixed by the ray
-    alone, so two rays are equal exactly when their trimmed (word, tail)
-    keys are, and the ball is one lookup in an index of the enumerated
-    points by key.
-
-    The index is built on the first query for each (alphabet, bound, side,
-    k).  Past k = bound^2 two distinct enumerated points can no longer share
-    a ray: they would agree on a full common period of their left tails
-    before both cores (right tails after both cores for 'u'), because each
-    tail is shorter than bound and each core lies inside (-bound, bound).
-    Larger radii therefore look up the index at bound^2 and compare its at
-    most one candidate with x on the whole ray.
+    Only points in x's tail class can lie in the ball.  A point y of the
+    s-ball agrees with x on a ray [-k, infinity), so both sequences have the
+    same least eventual period there; canonical tails are primitive, so
+    y.right has the length of x.right and is one of its rotations (mirrored
+    for side 'u' and the left tails).  Each point of that class is decided
+    by one window comparison against x on a common horizon: one tail period
+    beyond every core and beyond -k.  That window contains each pair's own
+    window in `in_dynamical_ball`, and agreement on the shorter one already
+    forces agreement on the whole ray, so both windows give the same answer.
     """
     if x.alphabet is None:
         raise InvalidDocument("base point needs an explicit alphabet")
     k = snap_epsilon(eps)
     # Enumerated over x's alphabet, so no candidate needs an alphabet check.
-    alphabet = tuple(x.alphabet)
-    candidates = enumerate_points(alphabet, bound)
-    if side not in ("s", "u"):
+    candidates = enumerate_points(tuple(x.alphabet), bound)
+    if side == "s":
+        period, doubled = len(x.right), x.right * 2
+        same_tail = [y for y in candidates
+                     if len(y.right) == period and y.right in doubled]
+        hi = max(x.end, -k, *(y.end for y in same_tail)) + period
+        ref = x.window(-k, hi)
+        in_ball = [y for y in same_tail if y.window(-k, hi) == ref]
+    elif side == "u":
+        period, doubled = len(x.left), x.left * 2
+        same_tail = [y for y in candidates
+                     if len(y.left) == period and y.left in doubled]
+        lo = min(x.start, k + 1, *(y.start for y in same_tail)) - period
+        ref = x.window(lo, k + 1)
+        in_ball = [y for y in same_tail if y.window(lo, k + 1) == ref]
+    else:
         raise ValueError("side must be 's' or 'u'")
-    k_index = min(k, bound * bound)
-    in_ball = _ray_index(alphabet, bound, side, k_index).get(
-        _ray_key(x, side, k_index), ()
-    )
-    if k > k_index:
-        in_ball = [y for y in in_ball if in_dynamical_ball(x, y, eps, side)]
     counterexamples = tuple(
         y for y in in_ball if not obs_stable_equiv(x, y, phi, side)
     )

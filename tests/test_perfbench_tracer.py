@@ -73,39 +73,31 @@ def test_traced_runs_print_the_same_bytes_and_record_spans(tmp_path):
     assert outputs(tmp_path, "after") == plain
 
 
-def test_ball_check_spans_hold_the_enumeration_and_the_ray_index(tmp_path, monkeypatch):
+def test_ball_check_spans_hold_the_enumeration(tmp_path):
     """symbolic-certify times `enumerate_points` as its set-up and
-    `check_ball_inclusion` in its ops, so the ray index must be built inside
-    the ball check, on its first query, and never by the enumeration."""
+    `check_ball_inclusion` in its ops: both must be recorded under their
+    layers, and the enumeration a ball check needs runs inside its span."""
     shift = importlib.import_module("expobs.shift")
     argv = ["symbolic", "check-inclusion",
             "--point", str(FIXTURES / "homoclinic_point.json"),
             "--observable", str(FIXTURES / "window1_cylinder_observable.json"),
-            "--epsilon", "1/8", "--alphabet", "01", "--bound", "7",
-            "--out", str(tmp_path / "ball.json")]
+            "--epsilon", "1/8", "--alphabet", "01", "--bound", "7"]
+
+    def run(tag):
+        path = tmp_path / f"{tag}.json"
+        return cli.main([*argv, "--out", str(path)]), path.read_bytes()
+
+    plain = run("plain")
     shift.enumerate_points.cache_clear()
-    shift._ray_index.cache_clear()
     tracer = load_spans().Tracer()
-    index = shift._ray_index
-    opened_at_lookup = []
-
-    def recording(*args):
-        opened_at_lookup.append(tracer.names[tracer.fid[tracer._stack[-1]]])
-        return index(*args)
-
-    monkeypatch.setattr(shift, "_ray_index", recording)
     tracer.install()
     try:
-        shift.enumerate_points(("0", "1"), 7)
-        built_by_enumeration = index.cache_info().currsize
-        code = cli.main(argv)
+        traced = run("traced")
     finally:
         tracer.uninstall()
-    assert code == 0
-    assert built_by_enumeration == 0
-    assert index.cache_info().currsize == 1
-    assert opened_at_lookup == ["check_ball_inclusion"]
-    layer_of = dict(zip(tracer.names, tracer.layer_of))
-    assert layer_of["check_ball_inclusion"] == "shift.ball_s"
-    assert layer_of["enumerate_points"] == "shift.enumerate_s"
+    assert traced == plain
+    assert plain[0] == 0
+    recorded = {tracer.names[fid]: tracer.layer_of[fid] for fid in tracer.fid}
+    assert recorded["check_ball_inclusion"] == "shift.ball_s"
+    assert recorded["enumerate_points"] == "shift.enumerate_s"
     assert "enumerate_points" in names_inside(tracer, "check_ball_inclusion")

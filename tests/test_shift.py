@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -269,6 +270,23 @@ class TestEnumeration:
                 (p.left, p.core, p.right, p.offset, p.alphabet) for p in brute
             ], bound
 
+    @pytest.mark.parametrize("letters, bound", [(100, 2), (20, 3)])
+    def test_large_alphabet_builds_little_beyond_its_points(self, letters, bound):
+        # Working tables stay within the budgeted descriptions.  A table of
+        # cores of length bound - 1, which no point of size <= bound holds,
+        # cost 8 times the points' own memory at 100 letters and bound 2.
+        alphabet = tuple(chr(0x100 + i) for i in range(letters))
+        enumerate_points.cache_clear()
+        tracemalloc.start()
+        try:
+            pts = enumerate_points(alphabet, bound)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            enumerate_points.cache_clear()
+        assert peak < 3 * kept
+        assert pts == oracles.brute_enumerate(alphabet, bound)
+
 
 class TestBallInclusion:
     def test_full_shift_small(self):
@@ -335,10 +353,9 @@ class TestBallInclusionOracle:
             assert rejected.counterexamples == tuple(ball), (x, eps, side, bound)
 
     @pytest.mark.parametrize("alphabet, bound", [("0", 8), ("01", 5), ("012", 4)])
-    def test_ray_lookup_matches_brute_force(self, monkeypatch, alphabet, bound):
-        """Every k up to bound + 1 and two past bound^2 (where the lookup
-        switches to its capped index), both sides, around enumerated points
-        and around points larger than the bound."""
+    def test_every_radius_matches_brute_force(self, monkeypatch, alphabet, bound):
+        """Every k up to bound + 1 and two far past every core, both sides,
+        around enumerated points and around points larger than the bound."""
         rng = random.Random(bound)
         pts = oracles.brute_enumerate(tuple(alphabet), bound)
         bases = rng.sample(pts, min(8, len(pts)))
