@@ -38,7 +38,7 @@ from .errors import (
     NotRigid,
     NoWanderingInterval,
 )
-from .exact import format_rational, parse_rational
+from .exact import format_extended, format_rational, parse_rational
 from .model import _as_dict, parse_observable, parse_system
 from .relations import delta_star, indistinguishability_quotient, sigma_star
 from .report import (
@@ -62,7 +62,6 @@ from .shift import (
     sym_orbit_sup,
 )
 from .svg import plot
-from .exact import format_extended
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -87,7 +86,7 @@ def _emit(text: str, out: str = None) -> None:
 
 
 def _emit_doc(doc, out: str = None) -> None:
-    _emit(json.dumps(doc, indent=2, ensure_ascii=True) + "\n", out)
+    _emit(render_report(doc), out)
 
 
 def _fractions(values) -> tuple:
@@ -179,13 +178,9 @@ def _cmd_conjugacy(args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _sym_points(args, need_alphabet: bool = False):
+def _sym_points(args):
     alphabet = tuple(args.alphabet) if args.alphabet else None
-    x = parse_point(_load_document(args.x), alphabet)
-    y = parse_point(_load_document(args.y), alphabet)
-    if need_alphabet and x.alphabet is None:
-        raise ExpobsError("this command needs --alphabet")
-    return x, y
+    return tuple(parse_point(_load_document(text), alphabet) for text in (args.x, args.y))
 
 
 def _cmd_symbolic(args) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateSpace,
@@ -262,18 +262,7 @@ def parse_system(document) -> FiniteSystem:
     metric = doc["metric"]
     if not isinstance(metric, list) or not all(isinstance(row, list) for row in metric):
         raise InvalidDocument("'metric' must be a list of rows")
-    # Each distinct literal is parsed once.  Only strings are memoized: a JSON
-    # true equals 1 as a key, and must still be rejected.
-    literals = {}
-
-    def parse(v):
-        if type(v) is not str:
-            return parse_rational(v)
-        value = literals.get(v)
-        if value is None:
-            value = literals[v] = parse_rational(v)
-        return value
-
+    parse = _memoized(parse_rational)
     rows = [[parse(v) for v in row] for row in metric]
     if not isinstance(doc["map"], dict):
         raise InvalidDocument("'map' must be an object")
@@ -306,6 +295,27 @@ def _as_dict(document):
     return document
 
 
+def _memoized(parse):
+    """parse, run once per distinct literal.  Only strings and lists of
+    strings are memoized: a JSON true equals 1 as a key, and must still be
+    rejected."""
+    literals = {}
+
+    def memo(v):
+        if type(v) is str:
+            key = v
+        elif type(v) is list and all(type(part) is str for part in v):
+            key = tuple(v)
+        else:
+            return parse(v)
+        value = literals.get(key)
+        if value is None:
+            value = literals[key] = parse(v)
+        return value
+
+    return memo
+
+
 def _rational_list(doc: dict, key: str) -> list:
     """doc[key] as exact rationals; anything but a JSON list is rejected."""
     values = doc[key]
@@ -317,105 +327,118 @@ def _rational_list(doc: dict, key: str) -> list:
 # --- observables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Observable:
-    """Function from point identifiers to Gaussian rationals.
-
-    Entries are kept in a fixed order (the system's document order when built
-    through from_mapping/from_values) so serialization is deterministic.
+    """Function from point identifiers to Gaussian rationals, stored as its
+    level classes: levels = (ids, values), where ids[k] is the class of
+    points[k], numbered by first appearance, one class per distinct value,
+    and values[c] is the value of class c.  An observable built on a system
+    keeps the system's own `points` tuple; `ids_on` lines the ids up with a
+    system.  entries and values are derived in point order, and observables
+    are equal exactly when their entries are, in order.
     """
 
-    entries: tuple
+    points: tuple
+    levels: tuple
+
+    def __init__(self, entries: Iterable):
+        entries = tuple(entries)
+        self._set(tuple(p for p, _ in entries), _levels(v for _, v in entries))
+
+    def _set(self, points: tuple, levels: tuple) -> "Observable":
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "levels", levels)
+        return self
+
+    @classmethod
+    def _stored(cls, points: tuple, levels: tuple) -> "Observable":
+        return object.__new__(cls)._set(points, levels)
 
     @classmethod
     def from_mapping(cls, system: FiniteSystem, mapping: Mapping) -> "Observable":
-        missing = [p for p in system.points if p not in mapping]
-        extra = [p for p in mapping if p not in system._index]
-        if missing or extra:
+        if mapping.keys() != system._index.keys():
+            missing = [p for p in system.points if p not in mapping]
+            extra = [p for p in mapping if p not in system._index]
             raise DomainMismatch(
                 f"observable domain mismatch (missing {missing!r}, extra {extra!r})"
             )
-        return cls(tuple((p, mapping[p]) for p in system.points))
+        return cls._stored(system.points, _levels([mapping[p] for p in system.points]))
 
     @classmethod
     def from_values(cls, system: FiniteSystem, values: Iterable) -> "Observable":
         vals = tuple(values)
         if len(vals) != system.n:
             raise DomainMismatch(f"expected {system.n} values, got {len(vals)}")
-        return cls(tuple(zip(system.points, vals)))
+        return cls._stored(system.points, _levels(vals))
 
     @classmethod
-    def _from_classes(cls, points: Iterable, ids: Iterable, class_values) -> "Observable":
+    def _from_classes(cls, points: tuple, ids: Sequence, class_values) -> "Observable":
         """The observable taking class_values[c] at each point of class c.
 
-        points and ids run in step; class_values maps each class to its value.
-        The levels come with it: classes are renumbered by first appearance
-        and classes of equal value merged, so only the class values are
-        hashed, not each entry.
+        points and ids run in step.  Classes are renumbered by first
+        appearance and classes of equal value merged, so only the class
+        values are hashed, not each point's.
         """
-        merged, renumbered, level_ids, entries = {}, {}, [], []
-        for p, c in zip(points, ids):
+        merged, renumbered = {}, {}
+        for c in ids:
             if c not in renumbered:
                 renumbered[c] = merged.setdefault(class_values[c], len(merged))
-            level_ids.append(renumbered[c])
-            entries.append((p, class_values[c]))
-        phi = cls(tuple(entries))
-        object.__setattr__(phi, "levels", (tuple(level_ids), tuple(merged)))
-        return phi
+        return cls._stored(points, (tuple(map(renumbered.__getitem__, ids)), tuple(merged)))
 
     @classmethod
     def constant(cls, system: FiniteSystem, value: GaussianRational) -> "Observable":
-        return cls.from_values(system, [value] * system.n)
+        return cls._stored(system.points, ((0,) * system.n, (value,)))
 
     @cached_property
-    def _lookup(self):
-        return dict(self.entries)
+    def _index(self) -> dict:
+        return {p: k for k, p in enumerate(self.points)}
 
     def __getitem__(self, point) -> GaussianRational:
         try:
-            return self._lookup[point]
+            k = self._index[point]
         except KeyError:
             raise UnknownPoint(f"observable undefined at {point!r}") from None
+        return self.levels[1][self.levels[0][k]]
 
-    @cached_property
-    def levels(self) -> tuple:
-        """The level classes of phi as (ids, values).
-
-        ids[k] is the class of entries[k], classes numbered by first
-        appearance, and values[c] is the value every entry of class c takes.
-        Queries and the algebra compare and combine these small ints.  Each
-        entry's value is hashed once, here, unless `_from_classes` built phi
-        and handed it its levels.
-        """
-        classes = {}
-        ids = tuple(classes.setdefault(v, len(classes)) for _, v in self.entries)
-        return ids, tuple(classes)
-
-    @property
-    def points(self) -> tuple:
-        return tuple(p for p, _ in self.entries)
+    def ids_on(self, points: tuple) -> tuple:
+        """The class ids in the order of points, which must hold exactly
+        phi's points (else DomainMismatch): the stored ids for phi's own
+        tuple, else checked and reordered."""
+        ids = self.levels[0]
+        if points is self.points:
+            return ids
+        index = self._index
+        if len(points) != len(index) or not all(p in index for p in points):
+            raise DomainMismatch("observable is not defined on exactly these points")
+        return tuple(ids[index[p]] for p in points)
 
     @property
     def values(self) -> tuple:
-        return tuple(v for _, v in self.entries)
+        return tuple(map(self.levels[1].__getitem__, self.levels[0]))
 
-    def domain(self) -> frozenset:
-        return frozenset(self._lookup)
+    @property
+    def entries(self) -> tuple:
+        return tuple(zip(self.points, self.values))
 
 
-def check_domain(system: FiniteSystem, phi: Observable) -> None:
-    if phi.domain() != frozenset(system.points):
-        raise DomainMismatch("observable is not defined on this system's points")
+def _levels(values: Iterable) -> tuple:
+    """(ids, class values) of values in order, as `Observable.levels`."""
+    classes = {}
+    ids = tuple([classes.setdefault(v, len(classes)) for v in values])
+    return ids, tuple(classes)
 
 
 def parse_observable(document, system: FiniteSystem = None) -> Observable:
     doc = _as_dict(document)
     if "values" not in doc or not isinstance(doc["values"], dict):
         raise InvalidDocument("observable document needs a 'values' object")
-    mapping = {p: GaussianRational.parse_pair(v) for p, v in doc["values"].items()}
+    # Parsing each distinct literal once pays for hashing every value into
+    # its level class.
+    parse = _memoized(GaussianRational.parse_pair)
+    mapping = {p: parse(v) for p, v in doc["values"].items()}
     if system is not None:
         return Observable.from_mapping(system, mapping)
-    return Observable(tuple(mapping.items()))
+    return Observable(mapping.items())
 
 
 def serialize_observable(phi: Observable, system_id: str = None) -> dict:

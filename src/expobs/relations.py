@@ -9,10 +9,11 @@ their D values, sorted by D (`FiniteSystem.orbit_cycles`), and the threshold
 queries here read that one structure: e* is the first D, delta*(phi) is the D
 of the first cycle that holds a pair in two different level classes of phi,
 and a quotient unions the cycles of a prefix.  Observables enter as their
-level classes (`Observable.levels`): small ints are compared in place of
-Gaussian rationals, and squared oscillations are ints over one common
-denominator.  The distance thresholds read the pairs grouped by realized
-distance, ascending (`FiniteSystem.distance_groups`): the moduli (omega_map,
+stored level classes, lined up with the system's points by `Observable.ids_on`:
+small ints are compared in place of Gaussian rationals, and squared
+oscillations are ints over one common denominator.  The distance thresholds
+read the pairs grouped by realized distance, ascending
+(`FiniteSystem.distance_groups`): the moduli (omega_map,
 omega_obs, and omega_h in `algebra`) are tables with one maximum per group,
 a single-t modulus is a lookup into its table, and gamma_k and the chain
 components read a prefix of the groups.  Both structures are built by
@@ -32,7 +33,7 @@ from itertools import takewhile
 
 from .errors import DegenerateSpace, UnknownPoint
 from .exact import INF, ExtScalar
-from .model import FiniteSystem, Observable, check_domain
+from .model import FiniteSystem, Observable
 
 
 def pair_cycles(system: FiniteSystem) -> list:
@@ -93,23 +94,6 @@ def e_star(system: FiniteSystem) -> Fraction:
     return system.orbit_cycles[0][0]
 
 
-def level_ids(phi: Observable, points: tuple) -> tuple:
-    """The level class ids of phi (`Observable.levels`) listed in the order
-    of `points`, which must be phi's own points; the ids are reordered only
-    when phi's entries come in another order."""
-    ids = phi.levels[0]
-    if phi.points == points:
-        return ids
-    class_of = dict(zip(phi.points, ids))
-    return tuple(class_of[p] for p in points)
-
-
-def _system_level_ids(system: FiniteSystem, phi: Observable) -> tuple:
-    """phi's level class ids in the system's document order."""
-    check_domain(system, phi)
-    return level_ids(phi, system.points)
-
-
 def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     """Expansivity constant of phi: min D(x, y) over pairs phi separates.
 
@@ -119,7 +103,7 @@ def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     phi is delta-expansive exactly when delta < delta_star(phi) (strict,
     because orbit closeness is a <= condition).
     """
-    ids = _system_level_ids(system, phi)
+    ids = phi.ids_on(system.points)
     for d, cycle in system.orbit_cycles:
         if any(ids[i] != ids[j] for i, j in cycle):
             return d
@@ -135,7 +119,7 @@ def _oscillations(system: FiniteSystem, phi: Observable):
     1/L^2).  The ints order like the squared moduli they stand for, so maxima
     and minima are taken over ints and only the winner becomes a Fraction.
     """
-    ids = _system_level_ids(system, phi)
+    ids = phi.ids_on(system.points)
     values = phi.levels[1]
     den = math.lcm(*(part.denominator for v in values for part in (v.real, v.imag)))
     re = [v.real.numerator * (den // v.real.denominator) for v in values]
@@ -380,7 +364,7 @@ class PeriodicLevelReport:
 
 
 def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> PeriodicLevelReport:
-    ids = _system_level_ids(system, phi)
+    ids = phi.ids_on(system.points)
     fixed = fixed_points(system, k)
     power = power_system(system, k)
     dstar_k = delta_star(power, phi)
@@ -434,7 +418,7 @@ def gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
 
 def separated_pairs(system: FiniteSystem, phi: Observable) -> tuple:
     """Index pairs (i, j), i < j, with phi(x_i) != phi(x_j)."""
-    ids = _system_level_ids(system, phi)
+    ids = phi.ids_on(system.points)
     return tuple(
         (i, j)
         for i in range(system.n)

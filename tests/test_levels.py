@@ -14,13 +14,14 @@ import pytest
 import oracles
 from expobs.algebra import (
     Conjugacy,
+    limit_stability_check,
     obs_add,
     obs_conjugate,
     obs_mul,
     obs_scale,
     transport,
 )
-from expobs.errors import UnknownPoint
+from expobs.errors import DomainMismatch, UnknownPoint
 from expobs.exact import GR_ZERO, INF, GaussianRational
 from expobs.model import FiniteSystem, Observable, parse_observable, serialize_observable
 from expobs.relations import (
@@ -31,6 +32,7 @@ from expobs.relations import (
     omega_obs_table,
     pair_cycles,
     periodic_level_report,
+    power_system,
     separated_pairs,
     sigma_star,
 )
@@ -246,3 +248,102 @@ class TestCycleOrder:
                 for a in system.points
                 for b in system.points
             )
+
+
+def off_domain(phi):
+    """phi missing its last point, with one extra point, and with its last
+    point swapped for a foreign one."""
+    entries = phi.entries
+    return {
+        "missing": Observable(entries[:-1]),
+        "extra": Observable(entries + (("extra", GR_ZERO),)),
+        "swapped": Observable(entries[:-1] + (("extra", entries[-1][1]),)),
+    }
+
+
+class TestDomainChecks:
+    """Every query lines phi up with the system's points, and refuses an
+    observable defined on other points."""
+
+    QUERIES = (
+        "delta_star",
+        "sigma_star",
+        "omega_obs_table",
+        "periodic_level_report",
+        "separated_pairs",
+        "obs_add",
+        "obs_add_reversed",
+        "transport",
+        "limit_stability_check",
+    )
+
+    @staticmethod
+    def query(name, system, phi):
+        along_f = Conjugacy.build(system, system, {p: system.apply(p) for p in system.points})
+        return {
+            "delta_star": lambda bad: delta_star(system, bad),
+            "sigma_star": lambda bad: sigma_star(system, bad),
+            "omega_obs_table": lambda bad: omega_obs_table(system, bad),
+            "periodic_level_report": lambda bad: periodic_level_report(system, bad, 2),
+            "separated_pairs": lambda bad: separated_pairs(system, bad),
+            "obs_add": lambda bad: obs_add(phi, bad),
+            "obs_add_reversed": lambda bad: obs_add(bad, phi),
+            "transport": lambda bad: transport(along_f, bad),
+            "limit_stability_check": lambda bad: limit_stability_check(system, [phi, bad], 0),
+        }[name]
+
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_refuses_other_points(self, name, small_corpus):
+        rng = random.Random(61)
+        for system in small_corpus[:10]:
+            phi = random_observable(rng, system)
+            run = self.query(name, system, phi)
+            for bad in off_domain(phi).values():
+                with pytest.raises(DomainMismatch):
+                    run(bad)
+
+
+class TestStoredForm:
+    def test_entries_rebuild_an_equal_observable(self, small_corpus):
+        rng = random.Random(71)
+        for system in small_corpus:
+            phi, psi = random_observable(rng, system), random_observable(rng, system)
+            conj = Conjugacy.build(system, system, {p: system.apply(p) for p in system.points})
+            forms = observable_forms(system, rng.randrange(10**6)) + [
+                parse_observable(serialize_observable(phi), system),
+                obs_add(phi, shuffled(psi, rng)),
+                obs_mul(shuffled(psi, rng), phi),
+                obs_scale(random_scalar(rng), phi),
+                obs_conjugate(shuffled(phi, rng)),
+                transport(conj, phi),
+            ]
+            for form in forms:
+                again = Observable(form.entries)
+                assert again == form
+                assert hash(again) == hash(form)
+                assert (again.points, again.levels) == (form.points, form.levels)
+
+    def test_equality_follows_entry_order(self, l4):
+        phi = Observable.from_values(l4, [GaussianRational.of(v) for v in (0, 1, 1, 2)])
+        reordered = Observable(reversed(phi.entries))
+        assert reordered != phi
+        assert [reordered[p] for p in l4.points] == [phi[p] for p in l4.points]
+
+    def test_built_on_a_system_share_its_points(self, small_corpus):
+        rng = random.Random(73)
+        for system in small_corpus:
+            target, label = relabelled(system, rng)
+            phi = random_observable(rng, system)
+            built = [
+                phi,
+                parse_observable(json.dumps(serialize_observable(phi)), system),
+                Observable.from_mapping(system, dict(phi.entries)),
+                Observable.from_values(system, phi.values),
+                Observable.constant(system, GR_ZERO),
+                obs_add(phi, shuffled(phi, rng)),
+                obs_scale(random_scalar(rng), phi),
+                transport(Conjugacy.build(system, target, label), random_observable(rng, target)),
+            ]
+            for form in built:
+                assert form.points is system.points
+            assert power_system(system, 2).points is system.points

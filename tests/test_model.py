@@ -205,6 +205,19 @@ class TestObservable:
         )
         assert phi["2"] == GaussianRational.of(1)
 
+    def test_equal_values_share_a_class_whatever_their_spelling(self, l4):
+        phi = parse_observable(
+            {"values": {"0": ["1/2", "0"], "1": "2/4", "2": ["2/4", "0"], "3": [1, 0]}}, l4
+        )
+        half, one = GaussianRational.of(Fraction(1, 2)), GaussianRational.of(1)
+        assert phi.levels == ((0, 0, 0, 1), (half, one))
+
+    @pytest.mark.parametrize("literal", [True, [True, "0"], ["1", False], 1.0, ["1"]])
+    def test_a_parsed_literal_does_not_admit_a_lookalike(self, l4, literal):
+        values = {"0": "1", "1": ["1", "0"], "2": ["1", "0"], "3": literal}
+        with pytest.raises(MalformedRational):
+            parse_observable({"values": values}, l4)
+
     def test_entry_order_follows_system(self, l4):
         phi = parse_observable(
             {"values": {"3": "3", "2": "2", "1": "1", "0": "0"}}, l4
