@@ -131,14 +131,22 @@ class PLCircleMap:
 
 
 def compose_circle(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
-    """The lift of outer о inner, with exact pulled-back breakpoints."""
-    breaks = set(inner.breakpoints)
-    for b in outer.breakpoints:
+    """The lift of outer о inner, with exact pulled-back breakpoints.
+
+    Its nodes are inner's breakpoints a_i and the pulled-back outer
+    breakpoints.  At a_i, inner's value is read from `inner.values` and only
+    outer is interpolated there.  A pulled-back node is x - n with
+    inner(x) = b_j and n = floor(x), so only inner's inverse is interpolated;
+    its value outer(b_j - n) = outer.values[j] - n is read.  Where both kinds
+    of node coincide the two values are equal.
+    """
+    nodes = {a: outer.eval_lift(v) for a, v in zip(inner.breakpoints, inner.values)}
+    for b, v in zip(outer.breakpoints, outer.values):
         x = inner.inverse_lift(b)
-        breaks.add(x - _floor(x))
-    bs = sorted(breaks)
-    vs = [outer.eval_lift(inner.eval_lift(b)) for b in bs]
-    return PLCircleMap.build(bs, vs)
+        n = _floor(x)
+        nodes[x - n] = v - n
+    bs = sorted(nodes)
+    return PLCircleMap.build(bs, [nodes[b] for b in bs])
 
 
 def circle_power(base: PLCircleMap, q: int) -> PLCircleMap:

@@ -16,11 +16,12 @@ finite windows through the periods, hence everything here is exact.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm
+from math import inf, lcm
 from types import MappingProxyType
 
 from .errors import (
@@ -36,6 +37,9 @@ from .model import _as_dict
 _MAX_BOUNDARY_PUSH_NOTE = (
     "boundary normalization must terminate within |left|+|right| steps "
     "for primitive unequal tails"
+)
+_MAX_COMMON_SUFFIX_NOTE = (
+    "primitive unequal tails must share fewer than |left|+|right| final letters"
 )
 
 
@@ -387,13 +391,14 @@ def enumerate_points(alphabet: tuple, bound: int) -> tuple:
 
     They are generated directly from the primitive words of each length, so
     no other description is built.  Raises HorizonExceeded first when the
-    raw descriptions number more than ENUMERATION_LIMIT.
+    raw descriptions over the distinct letters number more than
+    ENUMERATION_LIMIT.
     """
     alphabet = tuple(alphabet)
-    _check_enumeration_budget(len(alphabet), bound)
+    letters = tuple(dict.fromkeys(alphabet))
+    _check_enumeration_budget(len(letters), bound)
     if bound >= 2 and any(len(s) != 1 for s in alphabet):
         raise InvalidDocument("alphabet symbols must be single characters")
-    letters = tuple(dict.fromkeys(alphabet))
     words = [[""]]
     for _ in range(1, bound):
         words.append([w + a for w in words[-1] for a in letters])
@@ -475,6 +480,57 @@ class BallInclusionReport:
         return not self.counterexamples
 
 
+def _right_periodic_start(y: EPPoint):
+    """Least e with y_i = y_{i+|right|} for every i >= e; -inf when y is
+    periodic.
+
+    A core ends exactly where the right tail takes over, because its last
+    letter differs from right[-1].  Without a core, the left tail may go on
+    spelling the right tail's pattern below `end` for as many letters as
+    left^inf and right^inf share at their ends: ...10|0100... is periodic
+    from -1.  Primitive unequal tails share fewer than |left| + |right| such
+    letters (Fine and Wilf).
+    """
+    if y.core:
+        return y.end
+    left, right = y.left, y.right
+    if left == right:
+        return -inf
+    guard = len(left) + len(right)
+    common = 0
+    while left[~(common % len(left))] == right[~(common % len(right))]:
+        common += 1
+        if common > guard:
+            raise InvariantViolation(_MAX_COMMON_SUFFIX_NOTE)
+    return y.end - common
+
+
+def _left_periodic_end(y: EPPoint):
+    """Greatest f with y_i = y_{i-|left|} for every i < f; +inf when y is
+    periodic.  It is always `start`: the letter there, core[0] or right[0],
+    differs from left[0] in canonical form."""
+    if not y.core and y.left == y.right:
+        return inf
+    return y.start
+
+
+@lru_cache(maxsize=32)
+def _tail_groups(alphabet: tuple, bound: int, side: str) -> MappingProxyType:
+    """Indices into `enumerate_points(alphabet, bound)` grouped by tail word:
+    the right tail for side 's', the left tail for side 'u', each group in
+    enumeration order.
+
+    Indices rather than points, so the grouping keeps no enumeration alive
+    and stays valid when the enumeration's cache is cleared: the points come
+    back in the same order.  Int arrays hold them in a fifth of the memory
+    of tuples; callers only read them.
+    """
+    groups = {}
+    for i, y in enumerate(enumerate_points(alphabet, bound)):
+        groups.setdefault(y.right if side == "s" else y.left, array("i")).append(i)
+    return MappingProxyType(groups)
+
+
 def check_ball_inclusion(
     x: EPPoint,
     phi: CylinderObservable,
@@ -488,36 +544,62 @@ def check_ball_inclusion(
     so the expected value is always 'none'.
 
     Only points in x's tail class can lie in the ball.  A point y of the
-    s-ball agrees with x on a ray [-k, infinity), so both sequences have the
+    s-ball agrees with x on the ray [-k, infinity), so both sequences have the
     same least eventual period there; canonical tails are primitive, so
-    y.right has the length of x.right and is one of its rotations (mirrored
-    for side 'u' and the left tails).  Each point of that class is decided
-    by one window comparison against x on a common horizon: one tail period
-    beyond every core and beyond -k.  That window contains each pair's own
-    window in `in_dynamical_ball`, and agreement on the shorter one already
-    forces agreement on the whole ray, so both windows give the same answer.
+    y.right has the length p of x.right and is one of its rotations.  Those
+    points are read from a grouping of the enumeration by right tail.
+
+    Each of them is then decided by its periodic start e(y), the least e with
+    y p-periodic on [e, infinity) (`_right_periodic_start`).  If e(x) > -k,
+    the letter that breaks x's period lies on the ray, so every point of the
+    ball has e(y) = e(x), and agreement on [-k, e(x) + p) carries on along
+    the common period.  Otherwise x is periodic on the whole ray, so a point
+    of the ball has e(y) <= -k, and agreement on [-k, -k + p) decides it
+    (two periodic rays are equal exactly when their first periods are).
+    Only candidates with a fitting periodic start get a window built.
+
+    Side 'u' is the mirror over the ray (-infinity, k] with left tails and
+    f(y), the greatest f with y left-periodic below f
+    (`_left_periodic_end`); f(y) is simply `start` for every non-periodic
+    canonical point.
     """
     if x.alphabet is None:
         raise InvalidDocument("base point needs an explicit alphabet")
     k = snap_epsilon(eps)
+    alphabet = tuple(x.alphabet)
     # Enumerated over x's alphabet, so no candidate needs an alphabet check.
-    candidates = enumerate_points(tuple(x.alphabet), bound)
+    candidates = enumerate_points(alphabet, bound)
     if side == "s":
-        period, doubled = len(x.right), x.right * 2
-        same_tail = [y for y in candidates
-                     if len(y.right) == period and y.right in doubled]
-        hi = max(x.end, -k, *(y.end for y in same_tail)) + period
-        ref = x.window(-k, hi)
-        in_ball = [y for y in same_tail if y.window(-k, hi) == ref]
+        tail, periodic_start = x.right, _right_periodic_start
+        start = periodic_start(x)
+        lo, hi = -k, max(start, -k) + len(tail)
+
+        def on_ray(e):
+            return e > -k
     elif side == "u":
-        period, doubled = len(x.left), x.left * 2
-        same_tail = [y for y in candidates
-                     if len(y.left) == period and y.left in doubled]
-        lo = min(x.start, k + 1, *(y.start for y in same_tail)) - period
-        ref = x.window(lo, k + 1)
-        in_ball = [y for y in same_tail if y.window(lo, k + 1) == ref]
+        tail, periodic_start = x.left, _left_periodic_end
+        start = periodic_start(x)
+        lo, hi = min(start, k + 1) - len(tail), k + 1
+
+        def on_ray(f):
+            return f <= k
     else:
         raise ValueError("side must be 's' or 'u'")
+    ref = x.window(lo, hi)
+    if on_ray(start):
+        def fits(y):
+            return periodic_start(y) == start
+    else:
+        def fits(y):
+            return not on_ray(periodic_start(y))
+    groups = _tail_groups(alphabet, bound, side)
+    hits = sorted(
+        i
+        for r in range(len(tail))
+        for i in groups.get(tail[r:] + tail[:r], ())
+        if fits(candidates[i]) and candidates[i].window(lo, hi) == ref
+    )
+    in_ball = [candidates[i] for i in hits]
     counterexamples = tuple(
         y for y in in_ball if not obs_stable_equiv(x, y, phi, side)
     )

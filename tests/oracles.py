@@ -441,3 +441,15 @@ def scan_inverse_lift(mapping: PLCircleMap, y: Fraction) -> Fraction:
         k += 1
         yr -= 1
     return inverse_interp(xs, ys, yr) + k
+
+
+def brute_compose(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
+    """The lift of outer o inner with every node value interpolated afresh:
+    inner's breakpoints and the pulled-back outer breakpoints, each sent
+    through inner and then outer."""
+    breaks = set(inner.breakpoints)
+    for b in outer.breakpoints:
+        x = inner.inverse_lift(b)
+        breaks.add(x - math.floor(x))
+    bs = sorted(breaks)
+    return PLCircleMap.build(bs, [outer.eval_lift(inner.eval_lift(b)) for b in bs])

@@ -48,7 +48,7 @@ from expobs.library import (
     rigid_rotation_document,
     valley_interval_document,
 )
-from oracles import conjugate_by_rotation, scan_inverse_lift
+from oracles import brute_compose, conjugate_by_rotation, scan_inverse_lift
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,40 @@ class TestComposition:
         cubed = circle_power(m0, 3)
         for x in rational_points(25, 5):
             assert cubed.eval_lift(x) == m0.eval_lift(m0.eval_lift(m0.eval_lift(x)))
+
+    def test_matches_the_interpolating_reference(self, m0, plateau):
+        """Same breakpoint and value tuples as interpolating every node."""
+        bumps = symmetric_bump_maps(10, seed=17)
+        pairs = [(m0, plateau), (plateau, m0), (m0, m0), (plateau, plateau)]
+        pairs += list(zip(bumps, bumps[1:])) + [(f, f) for f in bumps]
+        for outer, inner in pairs:
+            assert compose_circle(outer, inner) == brute_compose(outer, inner)
+
+    def test_pulled_back_node_on_an_inner_breakpoint(self):
+        # inner(1/2) = 5/4, so outer's breakpoint 1/4 pulls back to 1/2 - 1,
+        # which reduces onto inner's own breakpoint 1/2.
+        inner = PLCircleMap.build([0, Fraction(1, 2)], [1, Fraction(5, 4)])
+        outer = PLCircleMap.build([0, Fraction(1, 4)], [Fraction(1, 8), Fraction(1, 2)])
+        comp = compose_circle(outer, inner)
+        assert comp.breakpoints == (0, Fraction(1, 2))
+        assert comp == brute_compose(outer, inner)
+
+    def test_decreasing_interval_square_matches_the_reference(self, monkeypatch):
+        circle_module = importlib.import_module("expobs.circle")
+        compose = circle_module.compose_circle
+        agreed = []
+
+        def checked(outer, inner):
+            result = compose(outer, inner)
+            agreed.append(result == brute_compose(outer, inner))
+            return result
+
+        monkeypatch.setattr(circle_module, "compose_circle", checked)
+        skewed = {"breakpoints": ["0", "1/3", "1/2", "1"], "values": ["1", "1/2", "1/5", "0"]}
+        for doc in (reflection_interval_document(), skewed):
+            _, power = parse_interval_map(doc)
+            assert power == 2
+        assert agreed == [True, True]
 
     def test_shift_values(self, m0):
         shifted = shift_values(m0, 2)   # F - 2

@@ -359,6 +359,20 @@ class TestSymbolic:
         assert doc["points_enumerated"] == 576
         assert doc["counterexamples"] == []
 
+    def test_repeated_letters_count_once_in_the_budget(self, capsys):
+        # Bound 9 fits the enumeration budget over two letters; "001" spells
+        # the same two and must neither be refused nor report differently.
+        outs = []
+        for alphabet in ("01", "001"):
+            code, out, _ = run(
+                capsys, "symbolic", "check-inclusion", "--point", ONE_BUMP,
+                "--observable", LETTER_OBS, "--epsilon", "1/8", "--bound", "9",
+                "--alphabet", alphabet,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_asymptotic_pair(self, capsys):
         code, out, _ = run(
             capsys, "symbolic", "asymptotic-pair", "--alphabet", "01",

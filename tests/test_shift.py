@@ -1,6 +1,8 @@
+import gc
 import importlib
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -378,6 +380,52 @@ class TestBallInclusionOracle:
                     report = check_ball_inclusion(x, phi, eps, side, bound)
                     assert report.counterexamples == ball, (x, side, k)
                     assert report.points_in_ball == len(ball)
+
+    @pytest.mark.parametrize("base", [
+        EPPoint.make("10", "", "0100", alphabet="01"),
+        EPPoint.make("01", alphabet="01"),
+        EPPoint.make("011", "10110", "01", 4, alphabet="01"),
+    ], ids=["coreless", "periodic", "past-bound"])
+    def test_periodic_start_keys_match_brute_force(self, monkeypatch, base):
+        """The coreless base is right-periodic from -1, below its boundary at
+        0; the periodic base has no periodic start; the last base has size
+        14.  Every k up to bound + 1 and one past every core, both sides."""
+        bound = 7
+        phi = CylinderObservable.injective(0, "01")
+        monkeypatch.setattr(shift_module, "obs_stable_equiv", lambda *args: False)
+        past_cores = bound + max(abs(base.start), abs(base.end)) + 1
+        for side in "su":
+            for k in (*range(bound + 2), past_cores):
+                eps = Fraction(1, 2 ** k)
+                ball = tuple(oracles.brute_ball(base, eps, side, bound))
+                report = check_ball_inclusion(base, phi, eps, side, bound)
+                assert report.counterexamples == ball, (side, k)
+                assert report.points_in_ball == len(ball)
+
+    def test_periodic_start_of_a_coreless_point(self):
+        glued = EPPoint.make("10", "", "0100")   # ...1010|0100 0100...
+        assert (glued.start, glued.end) == (0, 0)
+        assert shift_module._right_periodic_start(glued) == -1
+        assert shift_module._left_periodic_end(glued) == 0
+
+    def test_report_survives_a_rebuilt_enumeration(self, monkeypatch):
+        """Clearing the enumeration's cache, as the benchmark's set-up does,
+        neither leaves the ball lookup on stale points nor keeps the old
+        enumeration alive."""
+        x = EPPoint.make("0", "1", "0", alphabet="01")
+        phi = CylinderObservable.injective(1, "01")
+        monkeypatch.setattr(shift_module, "obs_stable_equiv", lambda *args: False)
+        for side in "su":
+            before = check_ball_inclusion(x, phi, Fraction(1, 8), side, 7)
+            old_zero = weakref.ref(enumerate_points(("0", "1"), 7)[0])
+            assert old_zero() == ZERO and old_zero() not in before.counterexamples
+            enumerate_points.cache_clear()
+            gc.collect()
+            assert old_zero() is None
+            after = check_ball_inclusion(x, phi, Fraction(1, 8), side, 7)
+            assert after == before and after.points_in_ball > 0
+            current = {id(p) for p in enumerate_points(("0", "1"), 7)}
+            assert all(id(y) in current for y in after.counterexamples)
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
