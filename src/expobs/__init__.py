@@ -39,7 +39,6 @@ from .relations import (
     omega_obs,
     omega_obs_table,
     orbit_distance_table,
-    pair_orbit_sup,
     periodic_level_report,
     pointwise_constants,
     power_system,

@@ -290,8 +290,10 @@ def _image_indices(conj: Conjugacy) -> list:
 def omega_h_table(conj: Conjugacy) -> tuple:
     """((t, omega_h(t)), ...) over the realized source distances t."""
     images = _image_indices(conj)
-    metric = conj.target.metric
-    return modulus_table(conj.source, lambda i, j: metric[images[i]][images[j]])
+    ints, scale = conj.target.int_metric
+    return modulus_table(
+        conj.source, lambda i, j: ints[images[i]][images[j]], Fraction(1, scale)
+    )
 
 
 def omega_h(conj: Conjugacy, t: Fraction) -> Fraction:

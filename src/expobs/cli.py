@@ -29,7 +29,6 @@ from .circle import (
     separation_gap,
     serialize_certificate,
     verify_certificate,
-    wandering_intervals,
 )
 from .errors import (
     AllFixed,
@@ -115,7 +114,7 @@ def _cmd_analyze(args) -> int:
         periodic_levels=levels,
         seed=args.seed,
     )
-    _emit(render_report(report), args.out)
+    _emit_doc(report, args.out)
     return EXIT_OK
 
 
@@ -287,11 +286,11 @@ def _cmd_circle(args) -> int:
                 }
                 _emit_doc(doc, args.out)
                 return EXIT_OK
-            wander = wandering_intervals(mapping, args.q_max)
+            # certify raises NoWanderingInterval only when there is no arc.
             doc = {
                 "outcome": "rigid_rotation",
                 "rotation_number": format_rational(case.rho),
-                "wandering_intervals": len(wander.arcs),
+                "wandering_intervals": 0,
                 "grid_size": case.grid_size,
                 "e_star": format_rational(case.e_star),
                 "mesh": format_rational(case.mesh),

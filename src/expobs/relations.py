@@ -19,6 +19,10 @@ a single-t modulus is a lookup into its table, and gamma_k and the chain
 components read a prefix of the groups.  Both structures are built by
 comparing the ints of `FiniteSystem.int_metric`, the metric over one common
 denominator; their D and t values are the system's own Fraction entries.
+Every sweep over point pairs compares ints: a modulus weighs each pair by an
+int (a cycle maximum or a target distance over `int_metric`, or an
+oscillation from `_oscillations`), and each table entry becomes one Fraction,
+the running maximum times the weights' unit.
 The periodic levels read the powers f^k, one shared system per k modulo the
 order of f (`power_system`), and the k-fixed points from the cycle lengths.
 """
@@ -33,7 +37,7 @@ from itertools import takewhile
 
 from .errors import DegenerateSpace, UnknownPoint
 from .exact import INF, ExtScalar
-from .model import FiniteSystem, Observable
+from .model import FiniteSystem, Observable, _scaled
 
 
 def pair_cycles(system: FiniteSystem) -> list:
@@ -67,26 +71,6 @@ def orbit_distance_table(system: FiniteSystem) -> OrbitDistanceTable:
     return OrbitDistanceTable(system, tuple(tuple(row) for row in table))
 
 
-def _pair_orbit(system: FiniteSystem, x, y):
-    """Distances d(f^n x, f^n y) along the pair-cycle of (x, y); just 0 if x == y."""
-    i0, j0 = system.index(x), system.index(y)
-    if i0 == j0:
-        yield Fraction(0)
-        return
-    perm, metric = system.perm, system.metric
-    a, b = i0, j0
-    while True:
-        yield metric[a][b]
-        a, b = perm[a], perm[b]
-        if (a, b) == (i0, j0):
-            return
-
-
-def pair_orbit_sup(system: FiniteSystem, x, y) -> Fraction:
-    """D(x, y) for a single pair, by walking its own pair-cycle."""
-    return max(_pair_orbit(system, x, y))
-
-
 def e_star(system: FiniteSystem) -> Fraction:
     """The separation constant min_{x != y} D(x, y)."""
     if system.n < 2:
@@ -115,15 +99,14 @@ def _oscillations(system: FiniteSystem, phi: Observable):
 
     Returns (ids, rows, scale): ids[i] is the class of point i, and
     rows[i][c] * scale = |phi(x_i) - value_c|^2 exactly, an int per pair of
-    classes computed over one common denominator L of the values (scale is
-    1/L^2).  The ints order like the squared moduli they stand for, so maxima
-    and minima are taken over ints and only the winner becomes a Fraction.
+    classes computed over the common denominator L of the real and imaginary
+    parts that `model._scaled` finds (scale is 1/L^2).  The ints order like
+    the squared moduli they stand for, so maxima and minima are taken over
+    ints and only the winner becomes a Fraction.
     """
     ids = phi.ids_on(system.points)
     values = phi.levels[1]
-    den = math.lcm(*(part.denominator for v in values for part in (v.real, v.imag)))
-    re = [v.real.numerator * (den // v.real.denominator) for v in values]
-    im = [v.imag.numerator * (den // v.imag.denominator) for v in values]
+    (re, im), den = _scaled(([v.real for v in values], [v.imag for v in values]))
     osc = [
         [(ra - rb) ** 2 + (ia - ib) ** 2 for rb, ib in zip(re, im)]
         for ra, ia in zip(re, im)
@@ -158,17 +141,20 @@ def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
     return best * scale if best else INF
 
 
-def modulus_table(system: FiniteSystem, weight) -> tuple:
-    """((t, max weight(i, j) over pairs with d(x_i, x_j) <= t), ...) for every
-    realized distance t, ascending: a running maximum, from 0, with one
-    maximum per group of `FiniteSystem.distance_groups`.  Weights are
-    nonnegative ints or Fractions.
+def modulus_table(system: FiniteSystem, weight, unit: Fraction) -> tuple:
+    """((t, unit * max weight(i, j) over pairs with d(x_i, x_j) <= t), ...)
+    for every realized distance t, ascending: a running maximum, from 0, with
+    one maximum per group of `FiniteSystem.distance_groups`.  Weights are
+    nonnegative ints, so the sweep compares ints only; each entry is one
+    Fraction, made when the maximum grows and shared while it holds.
     """
     table = []
-    best = 0
+    best, value = 0, 0 * unit
     for t, pairs in system.distance_groups:
-        best = max(best, max(weight(i, j) for i, j in pairs))
-        table.append((t, best))
+        top = max(weight(i, j) for i, j in pairs)
+        if top > best:
+            best, value = top, top * unit
+        table.append((t, value))
     return tuple(table)
 
 
@@ -180,9 +166,16 @@ def modulus_at(table: tuple, t) -> Fraction:
 
 
 def omega_map_table(system: FiniteSystem) -> tuple:
-    """((t, omega_map(t)), ...) over the realized distances t."""
-    orbit = orbit_distance_table(system).values
-    return modulus_table(system, lambda i, j: orbit[i][j])
+    """((t, omega_map(t)), ...) over the realized distances t, each pair
+    weighed by the int maximum of its pair cycle over `int_metric`."""
+    n = system.n
+    ints, scale = system.int_metric
+    orbit = [0] * (n * n)
+    for _, cycle in system.orbit_cycles:
+        top = max(ints[i][j] for i, j in cycle)
+        for i, j in cycle:
+            orbit[i * n + j] = top
+    return modulus_table(system, lambda i, j: orbit[i * n + j], Fraction(1, scale))
 
 
 def omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
@@ -195,8 +188,7 @@ def omega_map(system: FiniteSystem, t: Fraction) -> Fraction:
 def omega_obs_table(system: FiniteSystem, phi: Observable) -> tuple:
     """((t, omega_obs(phi, t)), ...) over the realized distances t."""
     ids, rows, scale = _oscillations(system, phi)
-    table = modulus_table(system, lambda i, j: rows[i][ids[j]])
-    return tuple((t, w * scale) for t, w in table)
+    return modulus_table(system, lambda i, j: rows[i][ids[j]], scale)
 
 
 def omega_obs(system: FiniteSystem, phi: Observable, t: Fraction) -> Fraction:
@@ -368,12 +360,15 @@ def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> Peri
     fixed = fixed_points(system, k)
     power = power_system(system, k)
     dstar_k = delta_star(power, phi)
+    ints, scale = system.int_metric
+    # A finite delta* is a metric entry, so it scales to an int.
+    limit = dstar_k if dstar_k is INF else (dstar_k * scale).numerator
     fixed_ids = [system.index(p) for p in fixed]
     distinct = dict.fromkeys(ids[i] for i in fixed_ids)
     violations = []
     for a_i, i in enumerate(fixed_ids):
         for j in fixed_ids[a_i + 1:]:
-            if ids[i] != ids[j] and system.metric[i][j] < dstar_k:
+            if ids[i] != ids[j] and ints[i][j] < limit:
                 violations.append((system.points[i], system.points[j]))
     return PeriodicLevelReport(
         k=k,
@@ -388,26 +383,30 @@ def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> Peri
 def gamma_k(system: FiniteSystem, k: int, e: Fraction) -> Fraction:
     """Largest realized t such that d(x,y) <= t forces the first k iterates
     to stay within e; 0 when no positive realized t qualifies.
+
+    Distances are compared as the ints of `int_metric`: an int distance
+    exceeds e * scale exactly when it exceeds floor(e * scale).
     """
     if k < 1:
         raise ValueError("gamma_k needs k >= 1")
     if e < 0:
         raise ValueError("gamma_k needs e >= 0")
-    perm, metric = system.perm, system.metric
+    perm = system.perm
+    ints, scale = system.int_metric
+    limit = math.floor(e * scale)
 
-    def spread(a, b):
-        top = Fraction(0)
+    def strays(a, b):
         for _ in range(k):
-            if metric[a][b] > top:
-                top = metric[a][b]
+            if ints[a][b] > limit:
+                return True
             a, b = perm[a], perm[b]
-        return top
+        return False
 
     # The answer is the realized distance just below the first group holding
-    # a pair whose spread exceeds e; the largest one if no group does.
+    # a pair that strays beyond e; the largest one if no group does.
     qualified = Fraction(0)
     for t, pairs in system.distance_groups:
-        if any(spread(i, j) > e for i, j in pairs):
+        if any(strays(i, j) for i, j in pairs):
             return qualified
         qualified = t
     return qualified

@@ -39,10 +39,6 @@ from .relations import (
 DEFAULT_PERIODIC_LEVELS = (1, 2, 3, 4, 5, 6)
 
 
-def _ext(value) -> str:
-    return format_extended(value)
-
-
 def _separates_blocks(phi: Observable, quotient) -> bool:
     """True when the level partition of phi is exactly the quotient partition:
     constant on each block and distinct between blocks."""
@@ -113,8 +109,8 @@ def analyze(
         dstar = delta_star(system, phi)
         entry = {
             "index": index,
-            "delta_star": _ext(dstar),
-            "sigma_star_sq": _ext(sigma_star(system, phi)),
+            "delta_star": format_extended(dstar),
+            "sigma_star_sq": format_extended(sigma_star(system, phi)),
             "expansive_at_resolution": h < dstar,
             "separation_at_resolution": _separates_blocks(phi, h_quotient),
             "omega_obs_table": [
@@ -145,7 +141,7 @@ def analyze(
                 {
                     "index": index,
                     "distinct_values": [v.to_pair() for v in rep.distinct_values],
-                    "delta_star_power": _ext(rep.delta_star_power),
+                    "delta_star_power": format_extended(rep.delta_star_power),
                     "holds": rep.holds,
                 }
             )

@@ -16,7 +16,6 @@ from itertools import product
 from expobs.circle import PLCircleMap
 from expobs.exact import INF, GaussianRational
 from expobs.model import FiniteSystem, Observable
-from expobs.relations import _pair_orbit
 from expobs.sampling import random_metric
 from expobs.shift import CylinderObservable, EPPoint, in_dynamical_ball
 
@@ -373,6 +372,21 @@ def inverse_perm(system: FiniteSystem) -> tuple:
     for i, j in enumerate(system.perm):
         inv[j] = i
     return tuple(inv)
+
+
+def _pair_orbit(system: FiniteSystem, x, y):
+    """Distances d(f^n x, f^n y) along the pair-cycle of (x, y); just 0 if x == y."""
+    i0, j0 = system.index(x), system.index(y)
+    if i0 == j0:
+        yield Fraction(0)
+        return
+    perm, metric = system.perm, system.metric
+    a, b = i0, j0
+    while True:
+        yield metric[a][b]
+        a, b = perm[a], perm[b]
+        if (a, b) == (i0, j0):
+            return
 
 
 def min_pair_distance(system: FiniteSystem, x, y) -> Fraction:

@@ -7,7 +7,7 @@ from time import perf_counter
 import pytest
 
 import expobs
-from expobs import cli
+from expobs import circle, cli
 from expobs.cli import main
 from expobs.errors import InvariantViolation
 from expobs.library import (
@@ -461,6 +461,25 @@ class TestCircle:
         assert doc["outcome"] == "rigid_rotation"
         assert doc["single_block"] is True
         assert doc["e_star"] == "1/8"
+        assert doc["wandering_intervals"] == 0
+
+    def test_rigid_rotation_composes_the_power_once(self, capsys, monkeypatch):
+        # The certify attempt already found no wandering arc; the report
+        # says so without composing the reduced power a second time.
+        calls = []
+        compose = circle.compose_circle
+
+        def counted(outer, inner):
+            calls.append(1)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(circle, "compose_circle", counted)
+        code, _, _ = run(
+            capsys, "circle", "certify", "--map",
+            json.dumps(rigid_rotation_document("3/8")), "--delta", "1/16",
+        )
+        assert code == 0
+        assert len(calls) == 7
 
 
 # Rotation number 1/4: x + 1/4 after a bump fixing each multiple of 1/4.

@@ -8,6 +8,9 @@ digest; a change meant to alter a report updates its digest on purpose.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,13 +106,26 @@ def digest_of(argv, out_path):
     return code, hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 
+def analyze_argv(system):
+    argv = ["analyze", "--system", fixture(system)]
+    for name in ANALYZE[system][0]:
+        argv += ["--observable", fixture(name)]
+    return argv
+
+
+def conjugacy_argv(system, tmp_path):
+    """conjugacy of a fixture system onto itself along its own map."""
+    doc = json.loads((FIXTURES / f"{system}.json").read_text())
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(doc["map"]))
+    return ["conjugacy", "--source", fixture(system), "--target", fixture(system),
+            "--map", str(map_path)]
+
+
 @pytest.mark.parametrize("system", sorted(ANALYZE))
 def test_analyze_fixture(system, tmp_path):
-    observables, expected = ANALYZE[system]
-    argv = ["analyze", "--system", fixture(system)]
-    for name in observables:
-        argv += ["--observable", fixture(name)]
-    assert digest_of(argv, tmp_path / "report.json") == (0, expected)
+    argv = analyze_argv(system)
+    assert digest_of(argv, tmp_path / "report.json") == (0, ANALYZE[system][1])
 
 
 @pytest.mark.parametrize("system, observable", sorted(DSTAR))
@@ -131,12 +147,28 @@ def test_laws_torus_cat(tmp_path):
 
 @pytest.mark.parametrize("system", sorted(CONJUGACY))
 def test_conjugacy_along_own_map(system, tmp_path):
-    doc = json.loads((FIXTURES / f"{system}.json").read_text())
-    map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps(doc["map"]))
-    argv = ["conjugacy", "--source", fixture(system), "--target", fixture(system),
-            "--map", str(map_path)]
+    argv = conjugacy_argv(system, tmp_path)
     assert digest_of(argv, tmp_path / "conjugacy.json") == (0, CONJUGACY[system])
+
+
+def test_digests_hold_under_optimized_interpreter(tmp_path):
+    """Every invariant check runs under `python -O`, which strips asserts, so
+    a fresh optimized interpreter must write the same bytes."""
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    cases = [
+        (analyze_argv("line_swap_system"), ANALYZE["line_swap_system"][1]),
+        (conjugacy_argv("random_system_1", tmp_path), CONJUGACY["random_system_1"]),
+    ]
+    for argv, expected in cases:
+        out_path = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "expobs.cli", *argv, "--out", str(out_path)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("point, side", sorted(INCLUSION))

@@ -23,7 +23,6 @@ from expobs.relations import (
     omega_obs_table,
     orbit_distance_table,
     pair_cycles,
-    pair_orbit_sup,
     periodic_level_report,
     pointwise_constants,
     power_system,
@@ -101,7 +100,9 @@ class TestOrbitDistance:
 
     def test_single_pair_walk_agrees(self, cat5):
         table = orbit_distance_table(cat5)
-        assert pair_orbit_sup(cat5, "0,0", "2,3") == table.dist("0,0", "2,3")
+        assert table.dist("0,0", "2,3") == oracles.brute_orbit_sup(
+            cat5, cat5.index("0,0"), cat5.index("2,3")
+        )
 
     def test_single_pair_walk_finds_a_later_maximum(self, cat5, small_corpus):
         # Pairs whose orbit maximum is not their own distance, so a walk
@@ -116,7 +117,8 @@ class TestOrbitDistance:
         assert len(later) > 100
         for system, i, j in later:
             x, y = system.points[i], system.points[j]
-            assert pair_orbit_sup(system, x, y) == oracles.brute_orbit_sup(system, i, j)
+            table = orbit_distance_table(system)
+            assert table.dist(x, y) == oracles.brute_orbit_sup(system, i, j)
 
     def test_min_pair_distance_positive(self, l4):
         assert oracles.min_pair_distance(l4, "0", "3") > 0
@@ -304,7 +306,11 @@ class TestDistanceSweep:
 
     def test_gamma_k(self, small_corpus):
         for system in small_corpus:
-            for e in probe_thresholds(system):
+            # Also a third of a metric unit either side of each realized
+            # distance, where e * scale is not an int.
+            step = Fraction(1, 3 * system.int_metric[1])
+            off_grid = [t + s for t in system.realized_distances() for s in (-step, step)]
+            for e in probe_thresholds(system) + off_grid:
                 for k in (1, 2, 3, 5):
                     assert gamma_k(system, k, e) == oracles.brute_gamma_k(system, k, e)
 

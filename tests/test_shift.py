@@ -114,6 +114,15 @@ class TestMetric:
     def test_identity(self):
         assert sym_distance(ZERO, EPPoint.make("00")) == 0
 
+    def test_alphabets_compare_as_letter_sets(self):
+        x = EPPoint.make("0", alphabet="001")
+        assert sym_distance(x, EPPoint.make("1", alphabet="01")) == 1
+        assert sym_orbit_sup(x, EPPoint.make("0", alphabet="10")) == 0
+        with pytest.raises(AlphabetMismatch):
+            sym_distance(EPPoint.make("0", alphabet="01"), EPPoint.make("1", alphabet="012"))
+        with pytest.raises(AlphabetMismatch):
+            sym_orbit_sup(EPPoint.make("0", alphabet="01"), EPPoint.make("1", alphabet="012"))
+
     @settings(max_examples=150, deadline=None)
     @given(points, points)
     def test_symmetry(self, x, y):
