@@ -64,7 +64,6 @@ from .shift import (
     find_asymptotic_pair,
     in_dynamical_ball,
     obs_stable_equiv,
-    shift,
     stable_equiv,
     sym_distance,
     sym_orbit_sup,
@@ -80,7 +79,6 @@ from .circle import (
     parse_circle_map,
     parse_interval_map,
     periodic_points,
-    property_p_check,
     rotation_number,
     separation_gap,
     serialize_certificate,

@@ -8,9 +8,12 @@ whose iterates stay below a requested diameter for every integer time: the
 finite trace covers |n| <= N and an affine contraction span at both ends
 guarantees the infinite tails.
 
-A lift keeps its node lists (breakpoints and lift values, closed by the node
-(1, F(0) + 1)) in one cached pair.  The lift is strictly increasing, so one
-interpolation reads the pair forward for F and backward for its inverse.
+A PL function's affine pieces are derived from its node lists in one place,
+`_pieces`: y = slopes[i] * x + offsets[i] on [xs[i], xs[i + 1]].  A lift
+caches that table once over its nodes closed by (1, F(0) + 1), and every
+reader takes its pieces from there: F and its inverse by a bisection on the
+nodes or on the values, affine spans by the piece holding the span's start,
+periodic points by solving each piece.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import (
     InvalidDocument,
     NoPeriodicOrbit,
     NotRigid,
-    NotWandering,
     NoWanderingInterval,
 )
 from .exact import format_rational, parse_rational
@@ -56,15 +58,11 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-# --- node-level helpers (xs strictly increasing, exact interpolation) --------
-
-
-def _interp(xs, ys, x: Fraction) -> Fraction:
-    if not xs[0] <= x <= xs[-1]:
-        raise ValueError(f"{x} outside [{xs[0]}, {xs[-1]}]")
-    i = min(bisect_right(xs, x), len(xs) - 1)
-    x1, x2, y1, y2 = xs[i - 1], xs[i], ys[i - 1], ys[i]
-    return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
+def _pieces(xs, ys):
+    """(slopes, offsets) of the PL function through the nodes (xs[i], ys[i]),
+    xs strictly increasing: y = slopes[i] * x + offsets[i] on [xs[i], xs[i + 1]]."""
+    slopes = tuple((y2 - y1) / (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]))
+    return slopes, tuple(y - s * x for x, y, s in zip(xs, ys, slopes))
 
 
 # --- circle lifts -------------------------------------------------------------
@@ -94,40 +92,44 @@ class PLCircleMap:
         return cls(bs, vs)
 
     @cached_property
-    def nodes(self):
-        """(xs, ys): the breakpoints and lift values, closed by (1, F(0) + 1)."""
-        return self.breakpoints + (Fraction(1),), self.values + (self.values[0] + 1,)
+    def segments(self):
+        """(xs, ys, slopes, offsets): the breakpoints and lift values closed by
+        (1, F(0) + 1), and the `_pieces` table over them."""
+        xs = self.breakpoints + (Fraction(1),)
+        ys = self.values + (self.values[0] + 1,)
+        return (xs, ys, *_pieces(xs, ys))
 
     def eval_lift(self, x: Fraction) -> Fraction:
         x = Fraction(x)
         n = _floor(x)
-        xs, ys = self.nodes
-        return _interp(xs, ys, x - n) + n
+        r = x - n
+        xs, _, slopes, offsets = self.segments
+        i = bisect_right(xs, r) - 1
+        return slopes[i] * r + offsets[i] + n
 
     def inverse_lift(self, y: Fraction) -> Fraction:
         y = Fraction(y)
-        xs, ys = self.nodes
-        k = _floor(y - ys[0])
+        _, ys, slopes, offsets = self.segments
+        k = _floor(y - ys[0])   # y - k lies in [F(0), F(0) + 1)
         yr = y - k
-        if yr >= ys[-1]:  # exact top edge after flooring
-            k += 1
-            yr -= 1
-        return _interp(ys, xs, yr) + k
+        i = bisect_right(ys, yr) - 1
+        return (yr - offsets[i]) / slopes[i] + k
 
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
         """Slope of the map on [lo, hi] if it is affine there, else None.
 
-        Affine means no lift node strictly inside (lo, hi).
+        Affine means no lift node strictly inside (lo, hi).  The first node
+        after lo is the right end xs[i + 1] + n of the piece holding lo, as
+        xs closes with 1 = 0 + 1.
         """
         if hi < lo:
             lo, hi = hi, lo
         if lo == hi:
             return None
-        for n in range(_floor(lo), _floor(hi) + 1):
-            for b in self.breakpoints:
-                if lo < b + n < hi:
-                    return None
-        return (self.eval_lift(hi) - self.eval_lift(lo)) / (hi - lo)
+        n = _floor(lo)
+        xs, _, slopes, _ = self.segments
+        i = bisect_right(xs, lo - n) - 1
+        return slopes[i] if hi - n <= xs[i + 1] else None
 
 
 def compose_circle(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
@@ -226,16 +228,14 @@ def periodic_points(mapping: PLCircleMap, p: int, q: int):
 
 def _periodic_blocks(power: PLCircleMap, p: int, q: int):
     """`periodic_points` with the lift power F^q already composed."""
-    xs, ys = power.nodes
+    xs, _, slopes, offsets = power.segments
     pieces = []
-    for i in range(len(xs) - 1):
-        x1, x2, y1, y2 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-        slope = (y2 - y1) / (x2 - x1)
+    for x1, x2, slope, offset in zip(xs, xs[1:], slopes, offsets):
         if slope == 1:
-            if y1 - x1 == p:
+            if offset == p:
                 pieces.append([x1, x2])
         else:
-            root = x1 + (p - (y1 - x1)) / (slope - 1)
+            root = (p - offset) / (slope - 1)
             if x1 <= root <= x2 and root < 1:
                 pieces.append([root, root])
     if not pieces:
@@ -367,45 +367,6 @@ def _tail_reached(g, lo, hi, target, delta) -> bool:
     return slope is not None
 
 
-def property_p_check(mapping: PLCircleMap, arc, probe, n_max: int = 1000,
-                     q_max: int = DEFAULT_Q_MAX):
-    """Verify the disjoint-iterates property of a probe interval inside a
-    wandering arc, with the total-length bound and eventual monotonicity.
-    """
-    g, report = reduced_power(mapping, q_max)
-    arc = (Fraction(arc[0]), Fraction(arc[1]))
-    if arc not in report.arcs:
-        raise NotWandering(f"{arc} is not a wandering arc of the reduced power")
-    u1, u2 = Fraction(probe[0]), Fraction(probe[1])
-    if not (arc[0] < u1 <= u2 < arc[1]):
-        raise NotWandering("probe must sit strictly inside the arc")
-    fwd = _endpoint_orbit(g.eval_lift, u1, u2, n_max)
-    bwd = _endpoint_orbit(g.inverse_lift, u1, u2, n_max)
-    intervals = list(reversed(bwd[1:])) + fwd  # n = -n_max .. n_max
-    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-        if not (hi1 < lo2 or hi2 < lo1):
-            raise NotWandering(
-                f"iterates overlap: [{lo1}, {hi1}] meets [{lo2}, {hi2}]"
-            )
-    total = sum(hi - lo for lo, hi in intervals)
-    diams_fwd = [hi - lo for lo, hi in fwd]
-    diams_bwd = [hi - lo for lo, hi in bwd]
-    att = arc[1] if _drift_direction(g, arc) > 0 else arc[0]
-    rep = arc[0] + arc[1] - att
-    return {
-        "arc": arc,
-        "probe": (u1, u2),
-        "n_max": n_max,
-        "disjoint": True,
-        "total_length": total,
-        "total_length_ok": total <= 1,
-        "fwd_monotone_from": _monotone_tail_start(diams_fwd),
-        "bwd_monotone_from": _monotone_tail_start(diams_bwd),
-        "fwd_tail_guaranteed": _tail_reached(g, *fwd[-1], att, arc[1] - arc[0]),
-        "bwd_tail_guaranteed": _tail_reached(g, *bwd[-1], rep, arc[1] - arc[0]),
-    }
-
-
 def _endpoint_orbit(step, u1, u2, count):
     out = [(u1, u2)]
     lo, hi = u1, u2
@@ -413,13 +374,6 @@ def _endpoint_orbit(step, u1, u2, count):
         lo, hi = step(lo), step(hi)
         out.append((lo, hi))
     return out
-
-
-def _monotone_tail_start(diams):
-    start = len(diams) - 1
-    while start > 0 and diams[start - 1] >= diams[start]:
-        start -= 1
-    return start
 
 
 def _certify_core(g, space: str, arcs, q: int, p: int, delta: Fraction,
@@ -666,8 +620,19 @@ class PLObservable:
             raise InvalidDocument("breakpoints must be strictly increasing")
         return cls(bs, vs)
 
+    @cached_property
+    def pieces(self):
+        """(slopes, offsets): the `_pieces` table over the breakpoints."""
+        return _pieces(self.breakpoints, self.values)
+
     def eval(self, x: Fraction) -> Fraction:
-        return _interp(self.breakpoints, self.values, Fraction(x))
+        x = Fraction(x)
+        xs = self.breakpoints
+        if not xs[0] <= x <= xs[-1]:
+            raise ValueError(f"{x} outside [{xs[0]}, {xs[-1]}]")
+        i = min(bisect_right(xs, x), len(xs) - 1) - 1
+        slopes, offsets = self.pieces
+        return slopes[i] * x + offsets[i]
 
 
 def parse_pl_observable(document) -> PLObservable:
@@ -831,16 +796,14 @@ def interval_pipeline(document, delta: Fraction,
 
 
 def _base_slope_bound(cert: Certificate) -> Fraction:
-    """Lipschitz constant of the base map (max |slope| over its pieces)."""
+    """Lipschitz constant of the base map (max |slope| over its pieces); an
+    interval document may be decreasing."""
     if cert.space == "circle":
-        bs, vs = parse_circle_map(cert.map_document).nodes
+        slopes = parse_circle_map(cert.map_document).segments[2]
     else:
-        bs = _rational_list(cert.map_document, "breakpoints")
-        vs = _rational_list(cert.map_document, "values")
-    return max(
-        abs((v2 - v1) / (b2 - b1))
-        for b1, b2, v1, v2 in zip(bs, bs[1:], vs, vs[1:])
-    )
+        slopes, _ = _pieces(_rational_list(cert.map_document, "breakpoints"),
+                            _rational_list(cert.map_document, "values"))
+    return max(map(abs, slopes))
 
 
 def serialize_certificate(cert: Certificate) -> dict:

@@ -57,10 +57,6 @@ class NoPeriodicOrbit(ExpobsError):
     """No periodic orbit found up to the iteration bound."""
 
 
-class NotWandering(ExpobsError):
-    """Probe interval fails the disjoint-iterates property."""
-
-
 class NoWanderingInterval(ExpobsError):
     """Fixed set of the reduced map leaves no complementary interval."""
 

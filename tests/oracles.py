@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -435,6 +436,42 @@ def conjugate_by_rotation(mapping: PLCircleMap, c: Fraction) -> PLCircleMap:
     return PLCircleMap.build(bs, [mapping.eval_lift(x - c) + c for x in bs])
 
 
+def interp(xs, ys, x: Fraction) -> Fraction:
+    """Value at x of the PL function through the nodes (xs[i], ys[i]), xs
+    strictly increasing: a binary search for the segment, then the chord."""
+    if not xs[0] <= x <= xs[-1]:
+        raise ValueError(f"{x} outside [{xs[0]}, {xs[-1]}]")
+    i = min(bisect_right(xs, x), len(xs) - 1)
+    x1, x2, y1, y2 = xs[i - 1], xs[i], ys[i - 1], ys[i]
+    return y1 + (x - x1) * (y2 - y1) / (x2 - x1)
+
+
+def lift_nodes(mapping: PLCircleMap) -> tuple:
+    """(xs, ys): the breakpoints and lift values closed by (1, F(0) + 1)."""
+    return (mapping.breakpoints + (Fraction(1),),
+            mapping.values + (mapping.values[0] + 1,))
+
+
+def interp_lift(mapping: PLCircleMap, x: Fraction) -> Fraction:
+    """F(x) through `interp` on the nodes over [0, 1], shifted by floor(x)."""
+    n = math.floor(x)
+    return interp(*lift_nodes(mapping), x - n) + n
+
+
+def scan_affine_span_slope(mapping: PLCircleMap, lo: Fraction, hi: Fraction):
+    """Slope of F on [lo, hi] when no breakpoint b + n lies strictly inside,
+    found by trying every breakpoint at every integer shift; else None."""
+    if hi < lo:
+        lo, hi = hi, lo
+    if lo == hi:
+        return None
+    for n in range(math.floor(lo), math.floor(hi) + 1):
+        for b in mapping.breakpoints:
+            if lo < b + n < hi:
+                return None
+    return (interp_lift(mapping, hi) - interp_lift(mapping, lo)) / (hi - lo)
+
+
 def inverse_interp(xs, ys, y: Fraction) -> Fraction:
     """Preimage of y under a strictly increasing PL node list, by a linear
     scan for the first segment whose values reach y."""
@@ -447,8 +484,7 @@ def inverse_interp(xs, ys, y: Fraction) -> Fraction:
 
 def scan_inverse_lift(mapping: PLCircleMap, y: Fraction) -> Fraction:
     """F^-1(y) through `inverse_interp` on the lift's nodes over [0, 1]."""
-    xs = mapping.breakpoints + (Fraction(1),)
-    ys = mapping.values + (mapping.values[0] + 1,)
+    xs, ys = lift_nodes(mapping)
     k = math.floor(y - ys[0])
     yr = y - k
     if yr >= ys[-1]:

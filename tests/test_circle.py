@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,7 @@ from expobs.circle import (
     CIRCLE_DIAM_CAP,
     Certificate,
     PLCircleMap,
+    PLObservable,
     analyze_rotation_case,
     certify,
     circle_power,
@@ -23,7 +25,6 @@ from expobs.circle import (
     parse_interval_map,
     parse_pl_observable,
     periodic_points,
-    property_p_check,
     reduced_power,
     rotation_number,
     separation_gap,
@@ -38,7 +39,6 @@ from expobs.errors import (
     InvalidDocument,
     NoPeriodicOrbit,
     NotRigid,
-    NotWandering,
     NoWanderingInterval,
 )
 from expobs.library import (
@@ -48,7 +48,15 @@ from expobs.library import (
     rigid_rotation_document,
     valley_interval_document,
 )
-from oracles import brute_compose, conjugate_by_rotation, scan_inverse_lift
+from oracles import (
+    brute_compose,
+    conjugate_by_rotation,
+    interp,
+    interp_lift,
+    lift_nodes,
+    scan_affine_span_slope,
+    scan_inverse_lift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +94,37 @@ def symmetric_bump_maps(count, seed):
 
 def random_lifts(count, seed):
     """Lifts with 1-5 random breakpoints on a 1/96 grid, F(0) in [-2, 2)
-    and random positive increments summing to less than 1."""
+    and random positive increments summing to less than 1 (distinct cuts
+    on a 1/97 grid, so every increment is positive)."""
     rng = random.Random(seed)
     maps = []
     for _ in range(count):
         inner = {Fraction(rng.randrange(1, 96), 96) for _ in range(rng.randint(0, 4))}
         bs = sorted({Fraction(0)} | inner)
-        cuts = sorted(Fraction(rng.randrange(1, 96), 97) for _ in range(len(bs)))
+        cuts = sorted(Fraction(c, 97) for c in rng.sample(range(1, 96), len(bs)))
         start = Fraction(rng.randrange(-192, 192), 96)
         maps.append(PLCircleMap.build(bs, [start] + [start + c for c in cuts[:-1]]))
     return maps
+
+
+def oracle_maps():
+    """Random lifts, symmetric bumps and a one-breakpoint rotation by 3/7."""
+    rotation = PLCircleMap.build([0], [Fraction(3, 7)])
+    return random_lifts(60, seed=9) + symmetric_bump_maps(20, seed=10) + [rotation]
+
+
+def probe_spans(mapping, rng):
+    """Spans [lo, hi] in both orders: random ones on a 1/288 grid (negative,
+    longer than 1), spans ending on a node, and degenerate ones."""
+    nodes = [b + n for b in mapping.breakpoints for n in (-1, 0, 1)]
+    spans = []
+    for _ in range(40):
+        lo = Fraction(rng.randrange(-600, 600), 288)
+        spans.append((lo, lo + Fraction(rng.randrange(0, 400), 288)))
+        node = rng.choice(nodes)
+        spans.append((node, node + Fraction(rng.choice((-1, 1)) * rng.randrange(1, 300), 288)))
+        spans.append((node, rng.choice(nodes)))
+    return spans + [(hi, lo) for lo, hi in spans]
 
 
 def seeded_interval_documents(count, seed):
@@ -141,11 +170,15 @@ class TestPLCircleMap:
                 assert mapping.inverse_lift(y) == scan_inverse_lift(mapping, y)
                 assert mapping.eval_lift(mapping.inverse_lift(y)) == y
 
-    def test_nodes_close_the_lift_and_are_kept(self, plateau):
-        xs, ys = plateau.nodes
-        assert xs == plateau.breakpoints + (Fraction(1),)
-        assert ys == plateau.values + (plateau.values[0] + 1,)
-        assert plateau.nodes is plateau.nodes
+    def test_segments_close_the_lift_and_are_kept(self, m0, plateau):
+        for mapping in [m0, plateau] + oracle_maps():
+            xs, ys, slopes, offsets = mapping.segments
+            assert (xs, ys) == lift_nodes(mapping)
+            assert len(slopes) == len(offsets) == len(xs) - 1
+            for i, (s, c) in enumerate(zip(slopes, offsets)):
+                assert s * xs[i] + c == ys[i]
+                assert s * xs[i + 1] + c == ys[i + 1]
+        assert plateau.segments is plateau.segments
 
     def test_build_rejects_bad_documents(self):
         with pytest.raises(InvalidDocument):
@@ -167,6 +200,78 @@ class TestPLCircleMap:
         assert a == b
         assert len(a) == 12
         int(a, 16)
+
+
+class TestPieceTable:
+    """Every reader of the affine-piece table against the interpolating
+    references in `oracles`."""
+
+    def test_eval_and_inverse_match_the_interpolation(self):
+        rng = random.Random(31)
+        for mapping in oracle_maps():
+            xs = [b + n for b in mapping.breakpoints for n in (-2, 0, 1)]
+            xs += [Fraction(rng.randrange(-600, 600), 288) for _ in range(30)]
+            for x in xs:
+                y = interp_lift(mapping, x)
+                assert mapping.eval_lift(x) == y
+                for target in (y, x):
+                    assert mapping.inverse_lift(target) == scan_inverse_lift(mapping, target)
+
+    def test_affine_span_slope_matches_the_scan(self):
+        rng = random.Random(32)
+        affine = broken = 0
+        for mapping in oracle_maps():
+            for lo, hi in probe_spans(mapping, rng):
+                slope = scan_affine_span_slope(mapping, lo, hi)
+                assert mapping.affine_span_slope(lo, hi) == slope
+                affine += slope is not None
+                broken += slope is None and lo != hi
+        assert affine >= 1000 and broken >= 1000
+
+    def test_periodic_points_solve_the_lifted_equation(self):
+        """Block ends and block midpoints solve F^q(x) = x + p under the
+        interpolating reference; points between blocks do not."""
+        solved = 0
+        for mapping in oracle_maps():
+            rho = rotation_number(mapping, q_max=8)
+            if rho is None:
+                continue
+            solved += 1
+            p, q = rho.numerator, rho.denominator
+
+            def moved(x):
+                for _ in range(q):
+                    x = interp_lift(mapping, x)
+                return x - p
+
+            blocks, full = periodic_points(mapping, p, q)
+            if full:
+                assert all(moved(x) == x for x in rational_points(12, 33))
+                continue
+            for lo, hi in blocks:
+                assert moved(lo) == lo and moved(hi) == hi
+                assert moved((lo + hi) / 2) == (lo + hi) / 2
+            next_starts = [lo for lo, _ in blocks[1:]] + [blocks[0][0] + 1]
+            for (_, a), b in zip(blocks, next_starts):
+                assert a < b
+                assert moved((a + b) / 2) != (a + b) / 2
+        assert solved >= 50
+
+    def test_pl_observable_eval_matches_the_interpolation(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            inner = sorted({Fraction(rng.randrange(1, 48), 48) for _ in range(rng.randint(0, 4))})
+            bs = [Fraction(0)] + inner + [Fraction(1)]
+            vs = [Fraction(rng.randrange(-20, 20), 7) for _ in bs]
+            phi = PLObservable.build(bs, vs)
+            for x in bs + [Fraction(rng.randrange(0, 97), 96) for _ in range(10)]:
+                assert phi.eval(x) == interp(bs, vs, x)
+            for x in (Fraction(-1, 96), Fraction(97, 96)):
+                with pytest.raises(ValueError) as exc:
+                    phi.eval(x)
+                with pytest.raises(ValueError) as ref:
+                    interp(bs, vs, x)
+                assert str(exc.value) == str(ref.value) == f"{x} outside [0, 1]"
 
 
 class TestComposition:
@@ -389,33 +494,68 @@ class TestReplayBudget:
         assert "trace does not cover -N..N" in verify_certificate(parse_certificate(doc)).violations
 
 
-class TestPropertyP:
-    def test_rejects_overlapping_probe(self, m0):
-        # g([1/8, 1/4]) = [3/16, 3/8] overlaps [1/8, 1/4]; iterates collide.
-        with pytest.raises(NotWandering):
-            property_p_check(
-                m0,
-                (Fraction(0), Fraction(1, 2)),
-                (Fraction(1, 8), Fraction(1, 4)),
-            )
+def tail_certificates():
+    """The circle m0 and the interval valley certificates at delta 1/16.
+    Both have the forward tail span [11/32, 1/2] (slope 1/2), the backward
+    span [0, 13/72] (slope 3/2) and the trace end (11/32, 37/96) at n = 1."""
+    return {
+        "m0_circle": certify(parse_circle_map(m0_circle_document()), Fraction(1, 16)),
+        "valley_interval": interval_pipeline(valley_interval_document(), Fraction(1, 16)),
+    }
 
-    def test_disjoint_probe_passes(self, m0):
-        result = property_p_check(
-            m0,
-            (Fraction(0), Fraction(1, 2)),
-            (Fraction(1, 8), Fraction(5, 32)),
+
+class TestTailChecks:
+    """Each tail statement that `verify_certificate` replays, broken alone
+    in an otherwise valid certificate document."""
+
+    @pytest.fixture(scope="class", params=["m0_circle", "valley_interval"])
+    def document(self, request):
+        return serialize_certificate(tail_certificates()[request.param])
+
+    def violations(self, document, label, **edits):
+        doc = json.loads(json.dumps(document))
+        doc["tail"][label].update(edits)
+        return verify_certificate(parse_certificate(doc)).violations
+
+    def test_unchanged_document_verifies(self, document):
+        assert verify_certificate(parse_certificate(document)).ok
+
+    def test_span_across_a_node_is_not_affine(self, document):
+        assert self.violations(document, "forward", span=["11/32", "3/4"]) == (
+            "forward tail span is not affine",
         )
-        assert result["disjoint"]
-        assert result["total_length_ok"]
-        assert result["fwd_tail_guaranteed"] and result["bwd_tail_guaranteed"]
+        assert self.violations(document, "backward", span=["-1/2", "13/72"]) == (
+            "backward tail span is not affine",
+        )
 
-    def test_probe_must_sit_inside_an_arc(self, m0):
-        with pytest.raises(NotWandering):
-            property_p_check(
-                m0,
-                (Fraction(0), Fraction(1, 2)),
-                (Fraction(0), Fraction(1, 4)),   # touches the fixed endpoint
-            )
+    def test_altered_slope_is_recomputed(self, document):
+        assert self.violations(document, "forward", slope="1/3") == (
+            "forward tail slope mismatch: recomputed 1/2",
+        )
+        assert self.violations(document, "backward", slope="7") == (
+            "backward tail slope mismatch: recomputed 3/2",
+        )
+
+    def test_span_must_contain_the_trace_end(self, document):
+        assert self.violations(document, "forward", span=["3/8", "1/2"]) == (
+            "forward tail span does not contain the trace end",
+        )
+
+    def test_forward_slope_must_contract(self, document):
+        backward = document["tail"]["backward"]
+        found = self.violations(document, "forward", **backward)
+        assert "forward tail slope 3/2 is not < 1" in found
+        forward = document["tail"]["forward"]
+        found = self.violations(document, "backward", **forward)
+        assert "backward tail slope 1/2 is not > 1" in found
+
+    def test_overlapping_iterates_are_reported(self, document):
+        """The n = -1 entry widened to reach into the probe at n = 0."""
+        doc = json.loads(json.dumps(document))
+        assert [entry["n"] for entry in doc["trace"]] == [-1, 0, 1]
+        doc["trace"][0]["hi"] = "1/4"
+        found = verify_certificate(parse_certificate(doc)).violations
+        assert "iterates at n=-1 and n=0 overlap" in found
 
 
 class TestSeparationGap:
@@ -463,6 +603,17 @@ class TestIntervalPipeline:
             (Fraction(0), Fraction(1, 2)),
             (Fraction(1, 2), Fraction(1)),
         )
+
+    def test_decreasing_document_slope_bound(self):
+        """The base slope bound of a decreasing document is its largest
+        |slope| (-3/2, -9/5, -2/5 here), and base_delta scales delta by it
+        once, for q = 2."""
+        doc = {"breakpoints": ["0", "1/3", "1/2", "1"], "values": ["1", "1/2", "1/5", "0"]}
+        cert = interval_pipeline(doc, Fraction(1, 16))
+        serialized = serialize_certificate(cert)
+        assert (serialized["q"], serialized["base_map_max_slope"]) == (2, "9/5")
+        assert serialized["base_delta"] == "9/80"
+        assert verify_certificate(cert).ok
 
     def test_identity_is_all_fixed(self):
         doc = {"space": "interval", "breakpoints": ["0", "1"], "values": ["0", "1"]}

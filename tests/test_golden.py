@@ -90,6 +90,14 @@ CIRCLE = {
     "plateau_circle": "a6a945e41d4b772acd231d0cde210e5e85b8ddeb350406aacb67bb37f6d77971",
 }
 
+# circle certify at delta 1/16 with a separation gap for GAP_OBSERVABLE, whose
+# breakpoint 1/4 lies inside m0's probe.
+GAP_OBSERVABLE = {"breakpoints": ["0", "1/4", "1/2", "1"], "values": ["0", "1", "-1/3", "2"]}
+GAP = {
+    "m0_circle": "464879ab516287fcfe93b0ca8f27101cc9e00fce95492addec1f820a5b229f63",
+    "plateau_circle": "bdd124974a5d8b8824402601195a35a79253a12cc504188696dbb67ee4d12c8c",
+}
+
 # interval certify at delta 1/16.
 INTERVAL = {
     "reflection_interval": "676fab854ad4a4fefad19496b4791c3f43fd60467d9e7b2a6829fa2728366c56",
@@ -192,3 +200,10 @@ def test_circle_certify_and_verify(circle, tmp_path):
 def test_interval_certify(interval, tmp_path):
     argv = ["interval", "certify", "--map", fixture(interval), "--delta", "1/16"]
     assert digest_of(argv, tmp_path / "cert.json") == (0, INTERVAL[interval])
+
+
+@pytest.mark.parametrize("circle", sorted(GAP))
+def test_circle_certify_with_gap_observable(circle, tmp_path):
+    argv = ["circle", "certify", "--map", fixture(circle), "--delta", "1/16",
+            "--gap-observable", json.dumps(GAP_OBSERVABLE)]
+    assert digest_of(argv, tmp_path / "cert.json") == (0, GAP[circle])

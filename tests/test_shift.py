@@ -1,5 +1,4 @@
 import gc
-import importlib
 import random
 import tracemalloc
 import weakref
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from expobs import shift as shift_module
 from expobs.errors import AlphabetMismatch, HorizonExceeded, InvalidDocument, NoPairFound
 from expobs.exact import GaussianRational
 from expobs.shift import (
@@ -34,9 +34,6 @@ from expobs.shift import (
     sym_distance,
     sym_orbit_sup,
 )
-
-# The package exports the function `shift`, which hides the module's name.
-shift_module = importlib.import_module("expobs.shift")
 
 ZERO = EPPoint.make("0")
 ONE = EPPoint.make("1")
@@ -494,3 +491,13 @@ class TestPointDocuments:
             parse_point({"left": "0"})
         with pytest.raises(AlphabetMismatch):
             parse_point({"left": "0", "core": "7", "right": "0"}, alphabet="01")
+
+
+class TestPackageNamespace:
+    def test_shift_names_the_module(self):
+        import expobs
+
+        assert expobs.shift is shift_module
+        assert "shift" in expobs.__all__
+        assert expobs.shift.enumerate_points is enumerate_points
+        assert expobs.shift.shift is shift
