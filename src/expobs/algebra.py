@@ -4,7 +4,7 @@ stability, and transport along conjugacies.
 
 from __future__ import annotations
 
-import operator
+import math
 import random
 from collections.abc import Hashable
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import HorizonExceeded, NonConvergent, NotAConjugacy
 from .exact import INF, ExtScalar, GaussianRational, format_extended
-from .model import FiniteSystem, Observable
+from .model import FiniteSystem, Observable, _levels
 from .relations import (
     delta_star,
     indistinguishability_quotient,
@@ -26,39 +26,57 @@ from .sampling import random_observable, random_scalar
 
 
 # Each operation runs once per level class, or once per pair of classes that
-# meet, and the results are laid out over phi's points in phi's order.
+# meet, on the classes' int pairs: phi's values are (re + i*im)/s over its
+# scale s, psi's over t.  The results are laid out over phi's points in phi's
+# order and reduced once by `Observable._from_classes`.
 
 
-def _combine(phi: Observable, psi: Observable, op) -> Observable:
-    ids_phi, values_phi = phi.levels
-    values_psi = psi.levels[1]
+def _combine(phi: Observable, psi: Observable, op, scale: int) -> Observable:
+    """The observable with op(phi's ints, psi's ints)/scale at each point."""
+    ids_phi, ints_phi, _ = phi.levels
+    ints_psi = psi.levels[1]
     pairs = list(zip(ids_phi, psi.ids_on(phi.points)))
     results = {}
     for a, b in pairs:
         if (a, b) not in results:
-            results[a, b] = op(values_phi[a], values_psi[b])
-    return Observable._from_classes(phi.points, pairs, results)
-
-
-def _map_values(phi: Observable, op) -> Observable:
-    ids, values = phi.levels
-    return Observable._from_classes(phi.points, ids, [op(v) for v in values])
+            results[a, b] = op(ints_phi[a], ints_psi[b])
+    return Observable._from_classes(phi.points, pairs, results, scale)
 
 
 def obs_add(phi: Observable, psi: Observable) -> Observable:
-    return _combine(phi, psi, operator.add)
+    """phi + psi over the lcm m of the scales: a/s + b/t = (a*(m/s) + b*(m/t))/m."""
+    s, t = phi.levels[2], psi.levels[2]
+    m = math.lcm(s, t)
+    u, w = m // s, m // t
+    return _combine(
+        phi, psi, lambda a, b: (a[0] * u + b[0] * w, a[1] * u + b[1] * w), m
+    )
 
 
 def obs_mul(phi: Observable, psi: Observable) -> Observable:
-    return _combine(phi, psi, operator.mul)
+    """phi * psi over the product of the scales."""
+    return _combine(
+        phi,
+        psi,
+        lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        phi.levels[2] * psi.levels[2],
+    )
 
 
 def obs_scale(lam: GaussianRational, phi: Observable) -> Observable:
-    return _map_values(phi, lambda v: lam * v)
+    """lam * phi, with lam as the ints (x, y) over its own denominator d."""
+    _, ((x, y),), d = _levels((lam,))
+    ids, ints, s = phi.levels
+    return Observable._from_classes(
+        phi.points, ids, [(x * re - y * im, x * im + y * re) for re, im in ints], s * d
+    )
 
 
 def obs_conjugate(phi: Observable) -> Observable:
-    return _map_values(phi, GaussianRational.conjugate)
+    """Conjugation negates each class's im.  It is one-to-one and keeps the
+    gcd with the scale, so the ids and the scale stay as they are."""
+    ids, ints, s = phi.levels
+    return Observable._stored(phi.points, (ids, tuple((re, -im) for re, im in ints), s))
 
 
 # --- law suite ---------------------------------------------------------------
@@ -279,7 +297,8 @@ class Conjugacy:
 def transport(conj: Conjugacy, phi: Observable) -> Observable:
     """Pull phi on the target back to the source: (H phi)(y) = phi(h(y))."""
     ids = phi.ids_on(tuple(image for _, image in conj.pairs))
-    return Observable._from_classes(conj.source.points, ids, phi.levels[1])
+    _, ints, scale = phi.levels
+    return Observable._from_classes(conj.source.points, ids, ints, scale)
 
 
 def _image_indices(conj: Conjugacy) -> list:

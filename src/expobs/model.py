@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -330,12 +331,16 @@ def _rational_list(doc: dict, key: str) -> list:
 @dataclass(frozen=True, init=False)
 class Observable:
     """Function from point identifiers to Gaussian rationals, stored as its
-    level classes: levels = (ids, values), where ids[k] is the class of
+    level classes: levels = (ids, ints, scale), where ids[k] is the class of
     points[k], numbered by first appearance, one class per distinct value,
-    and values[c] is the value of class c.  An observable built on a system
-    keeps the system's own `points` tuple; `ids_on` lines the ids up with a
-    system.  entries and values are derived in point order, and observables
-    are equal exactly when their entries are, in order.
+    and class c has the value (re + i*im)/scale for ints[c] = (re, im).
+    scale is canonical: gcd(scale, every re and im) = 1, so it is the lcm of
+    the reduced denominators (1 for integer values), and two classes hold
+    equal values exactly when their int pairs are equal.  An observable
+    built on a system keeps the system's own `points` tuple; `ids_on` lines
+    the ids up with a system.  class_values, entries and values are derived
+    in point order, and observables are equal exactly when their entries
+    are, in order.
     """
 
     points: tuple
@@ -356,12 +361,7 @@ class Observable:
 
     @classmethod
     def from_mapping(cls, system: FiniteSystem, mapping: Mapping) -> "Observable":
-        if mapping.keys() != system._index.keys():
-            missing = [p for p in system.points if p not in mapping]
-            extra = [p for p in mapping if p not in system._index]
-            raise DomainMismatch(
-                f"observable domain mismatch (missing {missing!r}, extra {extra!r})"
-            )
+        _check_domain(system, mapping)
         return cls._stored(system.points, _levels([mapping[p] for p in system.points]))
 
     @classmethod
@@ -372,33 +372,50 @@ class Observable:
         return cls._stored(system.points, _levels(vals))
 
     @classmethod
-    def _from_classes(cls, points: tuple, ids: Sequence, class_values) -> "Observable":
-        """The observable taking class_values[c] at each point of class c.
+    def _from_classes(
+        cls, points: tuple, ids: Sequence, class_ints, scale: int
+    ) -> "Observable":
+        """The observable taking class_ints[c]/scale at each point of class c.
 
-        points and ids run in step.  Classes are renumbered by first
-        appearance and classes of equal value merged, so only the class
-        values are hashed, not each point's.
+        points and ids run in step, and the int pairs need not be reduced.
+        Classes are renumbered by first appearance and classes of equal int
+        pairs merged, so only the classes are hashed, not each point's value;
+        then the ints and scale are divided once by their gcd.
         """
         merged, renumbered = {}, {}
         for c in ids:
             if c not in renumbered:
-                renumbered[c] = merged.setdefault(class_values[c], len(merged))
-        return cls._stored(points, (tuple(map(renumbered.__getitem__, ids)), tuple(merged)))
+                renumbered[c] = merged.setdefault(class_ints[c], len(merged))
+        ints = tuple(merged)
+        g = math.gcd(scale, *chain.from_iterable(ints))
+        if g != 1:
+            scale //= g
+            ints = tuple((re // g, im // g) for re, im in ints)
+        return cls._stored(points, (tuple(map(renumbered.__getitem__, ids)), ints, scale))
 
     @classmethod
     def constant(cls, system: FiniteSystem, value: GaussianRational) -> "Observable":
-        return cls._stored(system.points, ((0,) * system.n, (value,)))
+        _, ints, scale = _levels((value,))
+        return cls._stored(system.points, ((0,) * system.n, ints, scale))
 
     @cached_property
     def _index(self) -> dict:
         return {p: k for k, p in enumerate(self.points)}
+
+    @cached_property
+    def class_values(self) -> tuple:
+        """The value of each level class, as Gaussian rationals."""
+        _, ints, scale = self.levels
+        return tuple(
+            GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in ints
+        )
 
     def __getitem__(self, point) -> GaussianRational:
         try:
             k = self._index[point]
         except KeyError:
             raise UnknownPoint(f"observable undefined at {point!r}") from None
-        return self.levels[1][self.levels[0][k]]
+        return self.class_values[self.levels[0][k]]
 
     def ids_on(self, points: tuple) -> tuple:
         """The class ids in the order of points, which must hold exactly
@@ -414,38 +431,67 @@ class Observable:
 
     @property
     def values(self) -> tuple:
-        return tuple(map(self.levels[1].__getitem__, self.levels[0]))
+        return tuple(map(self.class_values.__getitem__, self.levels[0]))
 
     @property
     def entries(self) -> tuple:
         return tuple(zip(self.points, self.values))
 
 
-def _levels(values: Iterable) -> tuple:
-    """(ids, class values) of values in order, as `Observable.levels`."""
+def _check_domain(system: FiniteSystem, mapping: Mapping) -> None:
+    if mapping.keys() != system._index.keys():
+        missing = [p for p in system.points if p not in mapping]
+        extra = [p for p in mapping if p not in system._index]
+        raise DomainMismatch(
+            f"observable domain mismatch (missing {missing!r}, extra {extra!r})"
+        )
+
+
+def _key(value: GaussianRational) -> tuple:
+    """A value's reduced numerators and denominators: equal exactly when the
+    values are, and hashed as a tuple of ints."""
+    re, im = value.real, value.imag
+    return re.numerator, re.denominator, im.numerator, im.denominator
+
+
+def _key_levels(keys: Iterable) -> tuple:
+    """`Observable.levels` of the values with these `_key`s, in order."""
     classes = {}
-    ids = tuple([classes.setdefault(v, len(classes)) for v in values])
-    return ids, tuple(classes)
+    ids = tuple([classes.setdefault(k, len(classes)) for k in keys])
+    scale = math.lcm(*(key[1] for key in classes), *(key[3] for key in classes))
+    ints = tuple((a * (scale // b), c * (scale // d)) for a, b, c, d in classes)
+    return ids, ints, scale
+
+
+def _levels(values: Iterable) -> tuple:
+    """`Observable.levels` of Gaussian rational values in order."""
+    return _key_levels(map(_key, values))
 
 
 def parse_observable(document, system: FiniteSystem = None) -> Observable:
     doc = _as_dict(document)
     if "values" not in doc or not isinstance(doc["values"], dict):
         raise InvalidDocument("observable document needs a 'values' object")
-    # Parsing each distinct literal once pays for hashing every value into
-    # its level class.
-    parse = _memoized(GaussianRational.parse_pair)
-    mapping = {p: parse(v) for p, v in doc["values"].items()}
-    if system is not None:
-        return Observable.from_mapping(system, mapping)
-    return Observable(mapping.items())
+    # Each distinct literal is parsed once, to the int key of its class.
+    parse = _memoized(lambda v: _key(GaussianRational.parse_pair(v)))
+    keys = {p: parse(v) for p, v in doc["values"].items()}
+    if system is None:
+        return Observable._stored(tuple(keys), _key_levels(keys.values()))
+    _check_domain(system, keys)
+    return Observable._stored(system.points, _key_levels([keys[p] for p in system.points]))
 
 
 def serialize_observable(phi: Observable, system_id: str = None) -> dict:
     doc = {}
     if system_id is not None:
         doc["system"] = system_id
-    doc["values"] = {p: v.to_pair() for p, v in phi.entries}
+    # One pair of strings per class, laid out over the points.
+    ids, ints, scale = phi.levels
+    texts = [
+        (format_rational(Fraction(re, scale)), format_rational(Fraction(im, scale)))
+        for re, im in ints
+    ]
+    doc["values"] = {p: list(texts[c]) for p, c in zip(phi.points, ids)}
     return doc
 
 

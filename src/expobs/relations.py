@@ -11,7 +11,8 @@ of the first cycle that holds a pair in two different level classes of phi,
 and a quotient unions the cycles of a prefix.  Observables enter as their
 stored level classes, lined up with the system's points by `Observable.ids_on`:
 small ints are compared in place of Gaussian rationals, and squared
-oscillations are ints over one common denominator.  The distance thresholds
+oscillations are ints, computed from the class values' Gaussian integers
+over the observable's one scale (`Observable.levels`).  The distance thresholds
 read the pairs grouped by realized distance, ascending
 (`FiniteSystem.distance_groups`): the moduli (omega_map,
 omega_obs, and omega_h in `algebra`) are tables with one maximum per group,
@@ -37,7 +38,7 @@ from itertools import takewhile
 
 from .errors import DegenerateSpace, UnknownPoint
 from .exact import INF, ExtScalar
-from .model import FiniteSystem, Observable, _scaled
+from .model import FiniteSystem, Observable
 
 
 def pair_cycles(system: FiniteSystem) -> list:
@@ -97,21 +98,16 @@ def delta_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
 def _oscillations(system: FiniteSystem, phi: Observable):
     """Level classes of phi and the squared oscillations between them, as ints.
 
-    Returns (ids, rows, scale): ids[i] is the class of point i, and
-    rows[i][c] * scale = |phi(x_i) - value_c|^2 exactly, an int per pair of
-    classes computed over the common denominator L of the real and imaginary
-    parts that `model._scaled` finds (scale is 1/L^2).  The ints order like
-    the squared moduli they stand for, so maxima and minima are taken over
-    ints and only the winner becomes a Fraction.
+    Returns (ids, rows, unit): ids[i] is the class of point i, and
+    rows[i][c] * unit = |phi(x_i) - value_c|^2 exactly, an int per pair of
+    classes computed from phi's class ints over its scale s (unit is 1/s^2).
+    The ints order like the squared moduli they stand for, so maxima and
+    minima are taken over ints and only the winner becomes a Fraction.
     """
     ids = phi.ids_on(system.points)
-    values = phi.levels[1]
-    (re, im), den = _scaled(([v.real for v in values], [v.imag for v in values]))
-    osc = [
-        [(ra - rb) ** 2 + (ia - ib) ** 2 for rb, ib in zip(re, im)]
-        for ra, ia in zip(re, im)
-    ]
-    return ids, [osc[c] for c in ids], Fraction(1, den * den)
+    _, ints, scale = phi.levels
+    osc = [[(ra - rb) ** 2 + (ia - ib) ** 2 for rb, ib in ints] for ra, ia in ints]
+    return ids, [osc[c] for c in ids], Fraction(1, scale * scale)
 
 
 def sigma_star(system: FiniteSystem, phi: Observable) -> ExtScalar:
@@ -373,7 +369,7 @@ def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> Peri
     return PeriodicLevelReport(
         k=k,
         fixed=fixed,
-        distinct_values=tuple(phi.levels[1][c] for c in distinct),
+        distinct_values=tuple(phi.class_values[c] for c in distinct),
         delta_star_power=dstar_k,
         holds=not violations,
         violations=tuple(violations),

@@ -44,8 +44,10 @@ def _separates_blocks(phi: Observable, quotient) -> bool:
     constant on each block and distinct between blocks."""
     if not is_constant_on_blocks(phi, quotient):
         return False
-    representatives = [phi[block[0]] for block in quotient.blocks]
-    return len(set(representatives)) == len(representatives)
+    # Class ids are distinct exactly when the values are.
+    class_of = dict(zip(phi.points, phi.levels[0]))
+    representatives = {class_of[block[0]] for block in quotient.blocks}
+    return len(representatives) == len(quotient.blocks)
 
 
 def analyze(

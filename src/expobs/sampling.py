@@ -21,6 +21,8 @@ PALETTE = (
     GaussianRational.of(1, 1),
     GaussianRational.of(Fraction(1, 2)),
 )
+# PALETTE as the int pairs of `Observable.levels` over the scale 2.
+PALETTE_INTS = ((0, 0), (2, 0), (0, 2), (2, 2), (1, 0))
 
 
 def random_metric(rng: random.Random, n: int) -> list:
@@ -55,7 +57,7 @@ def random_system(rng: random.Random, min_points: int = 2, max_points: int = 12)
 
 def random_observable(rng: random.Random, system: FiniteSystem) -> Observable:
     ids = [rng.randrange(len(PALETTE)) for _ in system.points]
-    return Observable._from_classes(system.points, ids, PALETTE)
+    return Observable._from_classes(system.points, ids, PALETTE_INTS, 2)
 
 
 def random_scalar(rng: random.Random) -> GaussianRational:

@@ -69,6 +69,10 @@ QUOTIENT = {
 
 LAWS_DIGEST = "b7f1dd8fa206b2e8f1493abecd53cbbc187476f9e047be1ce3a03db808093bc4"
 
+# laws on random_system_1, 200 trials at seed 7: a second orbit structure,
+# with ten sigma-sum notes.
+LAWS_RANDOM_1_DIGEST = "5362ef36c0d187b1d6ab5ed0161332b008924960f308301ab2bfe1fbcca3995d"
+
 # Each system conjugated to itself along its own map.
 CONJUGACY = {
     "random_system_1": "76a6706faa4dd11d5d1994099dc13736b5f6bde505a59018acc1560290778197",
@@ -148,9 +152,17 @@ def test_quotient_fixture(system, threshold, tmp_path):
     assert digest_of(argv, tmp_path / "quotient.json") == (0, QUOTIENT[system, threshold])
 
 
+def laws_random_1_argv():
+    return ["laws", "--system", fixture("random_system_1"), "--trials", "200", "--seed", "7"]
+
+
 def test_laws_torus_cat(tmp_path):
     argv = ["laws", "--system", fixture("torus_cat_system"), "--trials", "40", "--seed", "7"]
     assert digest_of(argv, tmp_path / "laws.json") == (0, LAWS_DIGEST)
+
+
+def test_laws_random_system_1(tmp_path):
+    assert digest_of(laws_random_1_argv(), tmp_path / "laws.json") == (0, LAWS_RANDOM_1_DIGEST)
 
 
 @pytest.mark.parametrize("system", sorted(CONJUGACY))
@@ -168,6 +180,7 @@ def test_digests_hold_under_optimized_interpreter(tmp_path):
     cases = [
         (analyze_argv("line_swap_system"), ANALYZE["line_swap_system"][1]),
         (conjugacy_argv("random_system_1", tmp_path), CONJUGACY["random_system_1"]),
+        (laws_random_1_argv(), LAWS_RANDOM_1_DIGEST),
     ]
     for argv, expected in cases:
         out_path = tmp_path / "report.json"

@@ -7,7 +7,9 @@ oracles, which compare and combine the Gaussian rationals point by point.
 """
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +38,7 @@ from expobs.relations import (
     separated_pairs,
     sigma_star,
 )
-from expobs.sampling import PALETTE, random_observable, random_scalar
+from expobs.sampling import PALETTE, PALETTE_INTS, random_observable, random_scalar
 
 
 def shuffled(phi, rng):
@@ -132,7 +134,7 @@ class TestObservableLevels:
     def test_ids_by_first_appearance(self):
         a, b, c = (GaussianRational.of(v) for v in (2, 0, 1))
         phi = Observable((("x", a), ("y", b), ("z", a), ("w", c), ("v", b)))
-        assert phi.levels == ((0, 1, 0, 2, 1), (a, b, c))
+        assert (phi.levels[0], phi.class_values) == ((0, 1, 0, 2, 1), (a, b, c))
 
     def test_entries_match_their_levels(self, small_corpus):
         rng = random.Random(41)
@@ -153,13 +155,14 @@ class TestObservableLevels:
                 # A fresh observable on the same entries computes its levels
                 # from scratch.
                 assert result.levels == Observable(result.entries).levels
-                ids, values = result.levels
+                ids, values = result.levels[0], result.class_values
                 assert [values[c] for c in ids] == list(result.values)
 
     def test_palette_observable_has_no_unused_class(self, small_corpus):
         rng = random.Random(43)
         for system in small_corpus:
-            ids, values = random_observable(rng, system).levels
+            phi = random_observable(rng, system)
+            ids, values = phi.levels[0], phi.class_values
             assert sorted(set(ids)) == list(range(len(values)))
             assert set(values) <= set(PALETTE)
 
@@ -191,7 +194,7 @@ class TestAlgebraPerClass:
     def test_zero_scale_is_one_class(self, l4):
         phi = Observable.from_values(l4, [GaussianRational.of(v) for v in (0, 1, 2, 3)])
         zero = obs_scale(GR_ZERO, phi)
-        assert zero.levels == ((0, 0, 0, 0), (GR_ZERO,))
+        assert (zero.levels[0], zero.class_values) == ((0, 0, 0, 0), (GR_ZERO,))
         assert delta_star(l4, zero) is INF
 
     def test_transport_matches_pointwise(self, small_corpus):
@@ -203,6 +206,105 @@ class TestAlgebraPerClass:
             assert transport(conj, phi).entries == tuple(
                 (y, phi[label[y]]) for y in system.points
             )
+
+
+def wide_observable(rng, system, classes=4):
+    """An observable on system whose values have denominators up to 12,
+    drawn from a pool of `classes` values so that points share classes."""
+
+    def part():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+    pool = [GaussianRational(part(), part()) for _ in range(classes)]
+    return Observable.from_values(system, [rng.choice(pool) for _ in system.points])
+
+
+# Scalars off the palette, over denominators that share no factor with 12.
+WIDE_SCALARS = (
+    GaussianRational.of(Fraction(3, 7), Fraction(5, 11)),
+    GaussianRational.of(Fraction(-4, 9), Fraction(1, 6)),
+    GaussianRational.of(5),
+    GR_ZERO,
+)
+
+
+def assert_canonical(phi):
+    """phi's levels are the ones its entries give from scratch, and in
+    lowest terms."""
+    assert phi.levels == Observable(phi.entries).levels
+    ids, ints, scale = phi.levels
+    assert scale >= 1
+    assert math.gcd(scale, *(x for pair in ints for x in pair)) == 1
+    assert sorted(set(ids)) == list(range(len(ints)))
+
+
+class TestIntForm:
+    """Class values as Gaussian integers over one canonical scale, against
+    the pointwise Gaussian-rational references of `oracles`."""
+
+    def test_operations_match_pointwise(self, small_corpus):
+        rng = random.Random(79)
+        for system in small_corpus:
+            for _ in range(3):
+                phi = wide_observable(rng, system)
+                psi = shuffled(wide_observable(rng, system, rng.randint(1, 5)), rng)
+                for lam in WIDE_SCALARS + (random_scalar(rng),):
+                    result = obs_scale(lam, psi)
+                    assert result.entries == oracles.pointwise_map(
+                        psi, lambda v: lam * v
+                    ).entries
+                    assert_canonical(result)
+                for a, b in ((phi, psi), (psi, phi), (parsed(psi), phi)):
+                    for result, op in (
+                        (obs_add(a, b), lambda x, y: x + y),
+                        (obs_mul(a, b), lambda x, y: x * y),
+                    ):
+                        assert result.entries == oracles.pointwise(a, b, op).entries
+                        assert_canonical(result)
+                result = obs_conjugate(psi)
+                assert result.entries == oracles.pointwise_map(
+                    psi, GaussianRational.conjugate
+                ).entries
+                assert_canonical(result)
+
+    def test_parsed_and_built_forms_are_canonical(self, small_corpus):
+        rng = random.Random(83)
+        for system in small_corpus:
+            phi = wide_observable(rng, system)
+            for form in (
+                phi,
+                parsed(shuffled(phi, rng)),
+                parse_observable(serialize_observable(phi), system),
+                Observable.constant(system, GaussianRational.of(Fraction(3, 7), 2)),
+                random_observable(rng, system),
+            ):
+                assert_canonical(form)
+                ids, ints, scale = form.levels
+                assert form.class_values == tuple(
+                    GaussianRational(Fraction(re, scale), Fraction(im, scale))
+                    for re, im in ints
+                )
+
+    def test_zero_is_one_class_over_scale_one(self, small_corpus):
+        rng = random.Random(89)
+        zero_form = ((0, 0),)
+        for system in small_corpus:
+            phi = wide_observable(rng, system)
+            zero = ((0,) * system.n, zero_form, 1)
+            minus_phi = obs_scale(GaussianRational.of(-1), phi)
+            for result in (
+                obs_scale(GR_ZERO, phi),
+                obs_add(phi, shuffled(minus_phi, rng)),
+                obs_mul(shuffled(phi, rng), Observable.constant(system, GR_ZERO)),
+                Observable.constant(system, GR_ZERO),
+                parsed(Observable.constant(system, GR_ZERO)),
+            ):
+                assert result.levels == zero
+
+    def test_palette_ints_over_two(self):
+        assert tuple(
+            GaussianRational(Fraction(re, 2), Fraction(im, 2)) for re, im in PALETTE_INTS
+        ) == PALETTE
 
 
 class TestCycleOrder:

@@ -210,7 +210,7 @@ class TestObservable:
             {"values": {"0": ["1/2", "0"], "1": "2/4", "2": ["2/4", "0"], "3": [1, 0]}}, l4
         )
         half, one = GaussianRational.of(Fraction(1, 2)), GaussianRational.of(1)
-        assert phi.levels == ((0, 0, 0, 1), (half, one))
+        assert (phi.levels[0], phi.class_values) == ((0, 0, 0, 1), (half, one))
 
     @pytest.mark.parametrize("literal", [True, [True, "0"], ["1", False], 1.0, ["1"]])
     def test_a_parsed_literal_does_not_admit_a_lookalike(self, l4, literal):
