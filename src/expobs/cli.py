@@ -182,144 +182,145 @@ def _sym_points(args):
     return tuple(parse_point(_load_document(text), alphabet) for text in (args.x, args.y))
 
 
-def _cmd_symbolic(args) -> int:
-    sub = args.symbolic_command
-    if sub == "distance":
-        x, y = _sym_points(args)
-        _emit_doc({"distance": format_rational(sym_distance(x, y))}, args.out)
-        return EXIT_OK
-    if sub == "orbit-sup":
-        x, y = _sym_points(args)
-        _emit_doc({"orbit_sup": format_rational(sym_orbit_sup(x, y))}, args.out)
-        return EXIT_OK
-    if sub == "ball":
-        x, y = _sym_points(args)
-        eps = parse_rational(args.epsilon)
-        k = snap_epsilon(eps)
-        doc = {
-            "requested_epsilon": format_rational(eps),
-            "effective_epsilon": format_rational(Fraction(1, 2 ** k)),
-            "k": k,
-            "side": args.side,
-            "in_ball": in_dynamical_ball(x, y, eps, args.side),
-        }
-        _emit_doc(doc, args.out)
-        return EXIT_OK
-    if sub == "stable":
-        x, y = _sym_points(args)
-        doc = {"side": args.side, "stable_equivalent": stable_equiv(x, y, args.side)}
-        _emit_doc(doc, args.out)
-        return EXIT_OK
-    if sub == "obs-stable":
-        x, y = _sym_points(args)
-        phi = parse_cylinder_observable(_load_document(args.observable))
-        doc = {
-            "side": args.side,
-            "values_converge": obs_stable_equiv(x, y, phi, args.side),
-        }
-        _emit_doc(doc, args.out)
-        return EXIT_OK
-    if sub == "check-inclusion":
-        alphabet = tuple(args.alphabet) if args.alphabet else None
-        x = parse_point(_load_document(args.point), alphabet)
-        phi = parse_cylinder_observable(_load_document(args.observable))
-        report = check_ball_inclusion(
-            x, phi, parse_rational(args.epsilon), args.side, args.bound
-        )
-        doc = {
-            "requested_epsilon": format_rational(report.requested_eps),
-            "effective_epsilon": format_rational(report.effective_eps),
-            "k": report.k,
-            "side": report.side,
-            "bound": report.bound,
-            "points_enumerated": report.points_enumerated,
-            "points_in_ball": report.points_in_ball,
-            "counterexamples": [serialize_point(p) for p in report.counterexamples],
-            "passed": report.passed,
-        }
-        _emit_doc(doc, args.out)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-    if sub == "asymptotic-pair":
-        spec = SubshiftSpec.make(tuple(args.alphabet), tuple(args.forbidden))
-        observables = tuple(
-            parse_cylinder_observable(_load_document(doc)) for doc in args.observable
-        )
-        pair = find_asymptotic_pair(spec, args.bound, observables, side=args.side)
-        doc = {
-            "x": serialize_point(pair.x),
-            "y": serialize_point(pair.y),
-            "side": pair.side,
-            "verified_observables": pair.verified_observables,
-        }
-        _emit_doc(doc, args.out)
-        return EXIT_OK
-    raise ExpobsError(f"unknown symbolic subcommand {sub!r}")
+def _cmd_sym_distance(args) -> int:
+    x, y = _sym_points(args)
+    _emit_doc({"distance": format_rational(sym_distance(x, y))}, args.out)
+    return EXIT_OK
 
 
-def _cmd_circle(args) -> int:
-    sub = args.circle_command
-    if sub == "rotnum":
-        mapping = parse_circle_map(_load_document(args.map))
-        rho = rotation_number(mapping, args.q_max)
-        doc = {
-            "rotation_number": None if rho is None else format_rational(rho),
-            "q_max": args.q_max,
-        }
-        _emit_doc(doc, args.out)
-        return EXIT_OK
-    if sub == "certify":
-        mapping = parse_circle_map(_load_document(args.map))
+def _cmd_sym_orbit_sup(args) -> int:
+    x, y = _sym_points(args)
+    _emit_doc({"orbit_sup": format_rational(sym_orbit_sup(x, y))}, args.out)
+    return EXIT_OK
+
+
+def _cmd_sym_ball(args) -> int:
+    x, y = _sym_points(args)
+    eps = parse_rational(args.epsilon)
+    k = snap_epsilon(eps)
+    doc = {
+        "requested_epsilon": format_rational(eps),
+        "effective_epsilon": format_rational(Fraction(1, 2 ** k)),
+        "k": k,
+        "side": args.side,
+        "in_ball": in_dynamical_ball(x, y, eps, args.side),
+    }
+    _emit_doc(doc, args.out)
+    return EXIT_OK
+
+
+def _cmd_sym_stable(args) -> int:
+    x, y = _sym_points(args)
+    doc = {"side": args.side, "stable_equivalent": stable_equiv(x, y, args.side)}
+    _emit_doc(doc, args.out)
+    return EXIT_OK
+
+
+def _cmd_sym_obs_stable(args) -> int:
+    x, y = _sym_points(args)
+    phi = parse_cylinder_observable(_load_document(args.observable))
+    doc = {"side": args.side, "values_converge": obs_stable_equiv(x, y, phi, args.side)}
+    _emit_doc(doc, args.out)
+    return EXIT_OK
+
+
+def _cmd_sym_check_inclusion(args) -> int:
+    alphabet = tuple(args.alphabet) if args.alphabet else None
+    x = parse_point(_load_document(args.point), alphabet)
+    phi = parse_cylinder_observable(_load_document(args.observable))
+    report = check_ball_inclusion(x, phi, parse_rational(args.epsilon), args.side, args.bound)
+    doc = {
+        "requested_epsilon": format_rational(report.requested_eps),
+        "effective_epsilon": format_rational(report.effective_eps),
+        "k": report.k,
+        "side": report.side,
+        "bound": report.bound,
+        "points_enumerated": report.points_enumerated,
+        "points_in_ball": report.points_in_ball,
+        "counterexamples": [serialize_point(p) for p in report.counterexamples],
+        "passed": report.passed,
+    }
+    _emit_doc(doc, args.out)
+    return EXIT_OK if report.passed else EXIT_VIOLATION
+
+
+def _cmd_sym_asymptotic_pair(args) -> int:
+    spec = SubshiftSpec.make(tuple(args.alphabet), tuple(args.forbidden))
+    observables = tuple(
+        parse_cylinder_observable(_load_document(doc)) for doc in args.observable
+    )
+    pair = find_asymptotic_pair(spec, args.bound, observables, side=args.side)
+    doc = {
+        "x": serialize_point(pair.x),
+        "y": serialize_point(pair.y),
+        "side": pair.side,
+        "verified_observables": pair.verified_observables,
+    }
+    _emit_doc(doc, args.out)
+    return EXIT_OK
+
+
+def _cmd_circle_rotnum(args) -> int:
+    mapping = parse_circle_map(_load_document(args.map))
+    rho = rotation_number(mapping, args.q_max)
+    doc = {
+        "rotation_number": None if rho is None else format_rational(rho),
+        "q_max": args.q_max,
+    }
+    _emit_doc(doc, args.out)
+    return EXIT_OK
+
+
+def _cmd_circle_certify(args) -> int:
+    mapping = parse_circle_map(_load_document(args.map))
+    try:
+        cert = certify(mapping, parse_rational(args.delta), q_max=args.q_max, n_max=args.n_max)
+    except NoWanderingInterval:
         try:
-            cert = certify(
-                mapping, parse_rational(args.delta), q_max=args.q_max, n_max=args.n_max
-            )
-        except NoWanderingInterval:
-            try:
-                case = analyze_rotation_case(mapping)
-            except NotRigid:
-                doc = {
-                    "outcome": "no_wandering_interval",
-                    "note": (
-                        "the reduced power fixes the whole circle but the map "
-                        "is not a rigid rotation; every point is periodic"
-                    ),
-                }
-                _emit_doc(doc, args.out)
-                return EXIT_OK
-            # certify raises NoWanderingInterval only when there is no arc.
+            case = analyze_rotation_case(mapping)
+        except NotRigid:
             doc = {
-                "outcome": "rigid_rotation",
-                "rotation_number": format_rational(case.rho),
-                "wandering_intervals": 0,
-                "grid_size": case.grid_size,
-                "e_star": format_rational(case.e_star),
-                "mesh": format_rational(case.mesh),
-                "omega_identity": case.omega_identity,
-                "quotient_threshold": format_rational(case.quotient_threshold),
-                "quotient_blocks": [list(b) for b in case.blocks],
-                "single_block": case.single_block,
-                "identity_chain_match": case.identity_chain_match,
+                "outcome": "no_wandering_interval",
+                "note": (
+                    "the reduced power fixes the whole circle but the map "
+                    "is not a rigid rotation; every point is periodic"
+                ),
             }
             _emit_doc(doc, args.out)
             return EXIT_OK
-        doc = serialize_certificate(cert)
-        if args.gap_observable:
-            phi = parse_pl_observable(_load_document(args.gap_observable))
-            doc["separation_gap"] = format_rational(separation_gap(cert, phi))
+        # certify raises NoWanderingInterval only when there is no arc.
+        doc = {
+            "outcome": "rigid_rotation",
+            "rotation_number": format_rational(case.rho),
+            "wandering_intervals": 0,
+            "grid_size": case.grid_size,
+            "e_star": format_rational(case.e_star),
+            "mesh": format_rational(case.mesh),
+            "omega_identity": case.omega_identity,
+            "quotient_threshold": format_rational(case.quotient_threshold),
+            "quotient_blocks": [list(b) for b in case.blocks],
+            "single_block": case.single_block,
+            "identity_chain_match": case.identity_chain_match,
+        }
         _emit_doc(doc, args.out)
         return EXIT_OK
-    if sub == "verify":
-        cert = parse_certificate(_load_document(args.cert))
-        delta = parse_rational(args.delta) if args.delta else None
-        result = verify_certificate(cert, delta, q_max=args.q_max)
-        _emit_doc({"ok": result.ok, "violations": list(result.violations)}, args.out)
-        return EXIT_OK if result.ok else EXIT_VIOLATION
-    raise ExpobsError(f"unknown circle subcommand {sub!r}")
+    doc = serialize_certificate(cert)
+    if args.gap_observable:
+        phi = parse_pl_observable(_load_document(args.gap_observable))
+        doc["separation_gap"] = format_rational(separation_gap(cert, phi))
+    _emit_doc(doc, args.out)
+    return EXIT_OK
 
 
-def _cmd_interval(args) -> int:
-    if args.interval_command != "certify":
-        raise ExpobsError(f"unknown interval subcommand {args.interval_command!r}")
+def _cmd_circle_verify(args) -> int:
+    cert = parse_certificate(_load_document(args.cert))
+    delta = parse_rational(args.delta) if args.delta else None
+    result = verify_certificate(cert, delta, q_max=args.q_max)
+    _emit_doc({"ok": result.ok, "violations": list(result.violations)}, args.out)
+    return EXIT_OK if result.ok else EXIT_VIOLATION
+
+
+def _cmd_interval_certify(args) -> int:
     document = _load_document(args.map)
     try:
         cert = interval_pipeline(document, parse_rational(args.delta), n_max=args.n_max)
@@ -401,24 +402,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sym.add_parser("distance", help="shift metric d(x, y)")
     _sym_pair(sp)
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_distance)
     sp = sym.add_parser("orbit-sup", help="orbit separation D(x, y)")
     _sym_pair(sp)
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_orbit_sup)
     sp = sym.add_parser("ball", help="dynamical ball membership")
     _sym_pair(sp)
     sp.add_argument("--epsilon", required=True)
     sp.add_argument("--side", choices=("s", "u"), default="s")
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_ball)
     sp = sym.add_parser("stable", help="tail equivalence")
     _sym_pair(sp)
     sp.add_argument("--side", choices=("s", "u"), default="s")
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_stable)
     sp = sym.add_parser("obs-stable", help="observable convergence along the orbit")
     _sym_pair(sp)
     sp.add_argument("--observable", required=True)
     sp.add_argument("--side", choices=("s", "u"), default="s")
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_obs_stable)
     sp = sym.add_parser("check-inclusion", help="dynamical ball vs observable stability")
     sp.add_argument("--point", required=True)
     sp.add_argument("--observable", required=True)
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=int, default=8)
     sp.add_argument("--alphabet", required=True)
     _add_out(sp)
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_check_inclusion)
     sp = sym.add_parser("asymptotic-pair", help="smallest stably equivalent pair")
     sp.add_argument("--alphabet", required=True)
     sp.add_argument("--forbidden", action="append", default=[])
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--observable", action="append", default=[])
     sp.add_argument("--side", choices=("s", "u"), default="s")
     _add_out(sp)
-    sp.set_defaults(func=_cmd_symbolic)
+    sp.set_defaults(func=_cmd_sym_asymptotic_pair)
 
     p = commands.add_parser("circle", help="PL circle homeomorphism pipeline")
     circ = p.add_subparsers(dest="circle_command", required=True)
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", required=True)
     sp.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     _add_out(sp)
-    sp.set_defaults(func=_cmd_circle)
+    sp.set_defaults(func=_cmd_circle_rotnum)
     sp = circ.add_parser("certify", help="wandering interval certificate")
     sp.add_argument("--map", required=True)
     sp.add_argument("--delta", required=True)
@@ -451,13 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     sp.add_argument("--gap-observable", help="PL observable for a separation gap")
     _add_out(sp)
-    sp.set_defaults(func=_cmd_circle)
+    sp.set_defaults(func=_cmd_circle_certify)
     sp = circ.add_parser("verify", help="replay a certificate")
     sp.add_argument("--cert", required=True)
     sp.add_argument("--delta", help="larger threshold to verify against")
     sp.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     _add_out(sp)
-    sp.set_defaults(func=_cmd_circle)
+    sp.set_defaults(func=_cmd_circle_verify)
 
     p = commands.add_parser("interval", help="PL interval homeomorphism pipeline")
     inter = p.add_subparsers(dest="interval_command", required=True)
@@ -466,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", required=True)
     sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     _add_out(sp)
-    sp.set_defaults(func=_cmd_interval)
+    sp.set_defaults(func=_cmd_interval_certify)
 
     p = commands.add_parser("plot", help="SVG figures from an analysis report")
     p.add_argument("--report", required=True)

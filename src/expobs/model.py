@@ -28,13 +28,19 @@ from .exact import GaussianRational, format_rational, parse_rational
 class FiniteSystem:
     """A finite metric space with a distance-compatible bijection.
 
-    points  -- identifiers in document order (the order every table follows)
-    metric  -- exact distance matrix indexed like points
-    perm    -- the map as an index permutation: points[i] |-> points[perm[i]]
+    points     -- identifiers in document order (the order every table follows)
+    int_metric -- (ints, scale): d(points[i], points[j]) = ints[i][j] / scale
+    perm       -- the map as an index permutation: points[i] |-> points[perm[i]]
+
+    scale is the lcm of the distances' reduced denominators, so gcd(scale,
+    every int) = 1: equal metrics have equal (ints, scale), and equality and
+    hash follow the distances.  The ints compare exactly as the distances do.
+    Every other form of the metric is derived: `_distances` holds one shared
+    Fraction per distinct distance, and `metric` lays them out as a matrix.
     """
 
     points: tuple
-    metric: tuple
+    int_metric: tuple
     perm: tuple
 
     @classmethod
@@ -51,17 +57,8 @@ class FiniteSystem:
         )
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidDocument(f"metric must be a {n}x{n} matrix")
-        ints, scale = _check_metric(points, rows)
-        perm = _permutation_of(points, mapping)
-        # Equal distances share one Fraction object, whatever their spelling.
-        shared = {}
-        metric = tuple(
-            tuple(shared.setdefault(x, v) for x, v in zip(irow, row))
-            for irow, row in zip(ints, rows)
-        )
-        system = cls(points, metric, perm)
-        object.__setattr__(system, "int_metric", (ints, scale))
-        return system
+        int_metric = _check_metric(points, rows)
+        return cls(points, int_metric, _permutation_of(points, mapping))
 
     @property
     def n(self) -> int:
@@ -78,21 +75,23 @@ class FiniteSystem:
             raise UnknownPoint(f"no point {point!r} in this system") from None
 
     def dist(self, x, y) -> Fraction:
-        return self.metric[self.index(x)][self.index(y)]
+        return self._distances[self.int_metric[0][self.index(x)][self.index(y)]]
 
     def apply(self, point):
         return self.points[self.perm[self.index(point)]]
 
     @cached_property
-    def int_metric(self) -> tuple:
-        """(ints, scale): the metric as ints over one common denominator.
+    def _distances(self) -> dict:
+        """{x: x / scale} over the distinct ints x of `int_metric`: the one
+        Fraction that every derived form hands out for each distance."""
+        ints, scale = self.int_metric
+        return {x: Fraction(x, scale) for x in set(chain.from_iterable(ints))}
 
-        scale is the lcm of the entries' denominators and ints[i][j] =
-        metric[i][j] * scale, so ints compare exactly as the distances do.
-        `build` seeds it from its validation, and `relations.power_system`
-        hands it to every power, which has the same metric.
-        """
-        return _scaled(self.metric)
+    @cached_property
+    def metric(self) -> tuple:
+        """The distance matrix as Fractions, indexed like points."""
+        distance = self._distances.__getitem__
+        return tuple(tuple(map(distance, row)) for row in self.int_metric[0])
 
     @cached_property
     def cycles(self) -> tuple:
@@ -128,9 +127,9 @@ class FiniteSystem:
         this one structure: e* is the first D, delta* of an observable is the D
         of the first cycle it separates, and the pairs with D <= delta are the
         cycles of a prefix.  The maxima and the sort compare the ints of
-        `int_metric`; D is the metric entry of the pair that attains the max.
+        `int_metric`; D is the shared `_distances` Fraction of the max.
         """
-        n, perm, metric = self.n, self.perm, self.metric
+        n, perm = self.n, self.perm
         ints = self.int_metric[0]
         seen = bytearray(n * n)
         keyed = []
@@ -147,13 +146,14 @@ class FiniteSystem:
                         seen[lo * n + hi] = 1
                         cycle.append((lo, hi))
                         if ints[lo][hi] > top:
-                            top, d = ints[lo][hi], metric[lo][hi]
+                            top = ints[lo][hi]
                     a, b = perm[a], perm[b]
                     if a == i and b == j:
                         break
-                keyed.append((top, d, tuple(cycle)))
+                keyed.append((top, tuple(cycle)))
         keyed.sort(key=lambda entry: entry[0])
-        return tuple((d, cycle) for _, d, cycle in keyed)
+        distances = self._distances
+        return tuple((distances[top], cycle) for top, cycle in keyed)
 
     @cached_property
     def distance_groups(self) -> tuple:
@@ -163,40 +163,31 @@ class FiniteSystem:
         document order.  Every modulus table takes one maximum per group, and
         the pairs with d <= t are the groups of a prefix for every threshold t.
         Pairs are grouped and sorted by the ints of `int_metric`; t is the
-        metric entry of a group's first pair.
+        group's shared `_distances` Fraction.
         """
-        n, metric = self.n, self.metric
+        n, distances = self.n, self._distances
         ints = self.int_metric[0]
         groups = {}
         for i in range(n):
             row = ints[i]
             for j in range(i + 1, n):
                 groups.setdefault(row[j], []).append((i, j))
-        return tuple(
-            (metric[pairs[0][0]][pairs[0][1]], tuple(pairs))
-            for _, pairs in sorted(groups.items())
-        )
+        return tuple((distances[x], tuple(pairs)) for x, pairs in sorted(groups.items()))
 
     def realized_distances(self) -> tuple:
         """Sorted distinct positive distances d(x, y), x != y."""
         return tuple(t for t, _ in self.distance_groups)
 
 
-def _scaled(rows) -> tuple:
-    """(ints, scale) for a matrix of rationals, as `FiniteSystem.int_metric`."""
+def _check_metric(points, rows) -> tuple:
+    """Validate a square matrix of Fractions as a metric on points and return
+    it as `FiniteSystem.int_metric`.  Every check compares the ints; the
+    messages quote the Fraction entries."""
+    n = len(points)
     scale = math.lcm(*{v.denominator for row in rows for v in row})
     ints = tuple(
         tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows
     )
-    return ints, scale
-
-
-def _check_metric(points, rows) -> tuple:
-    """Validate a square matrix of Fractions as a metric on points and return
-    its `_scaled` form.  Every check compares the ints; the messages quote the
-    Fraction entries."""
-    n = len(points)
-    ints, scale = _scaled(rows)
     for i in range(n):
         ri = ints[i]
         if ri[i] != 0:
@@ -272,15 +263,10 @@ def parse_system(document) -> FiniteSystem:
 
 def serialize_system(system: FiniteSystem) -> dict:
     # One string per distinct distance, found by its int in `int_metric`.
-    ints = system.int_metric[0]
-    text = {}
-    for irow, row in zip(ints, system.metric):
-        for x, v in zip(irow, row):
-            if x not in text:
-                text[x] = format_rational(v)
+    text = {x: format_rational(v) for x, v in system._distances.items()}
     return {
         "points": list(system.points),
-        "metric": [[text[x] for x in irow] for irow in ints],
+        "metric": [[text[x] for x in row] for row in system.int_metric[0]],
         "map": {p: system.points[system.perm[i]] for i, p in enumerate(system.points)},
     }
 

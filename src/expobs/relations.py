@@ -18,8 +18,10 @@ read the pairs grouped by realized distance, ascending
 omega_obs, and omega_h in `algebra`) are tables with one maximum per group,
 a single-t modulus is a lookup into its table, and gamma_k and the chain
 components read a prefix of the groups.  Both structures are built by
-comparing the ints of `FiniteSystem.int_metric`, the metric over one common
-denominator; their D and t values are the system's own Fraction entries.
+comparing the ints of `FiniteSystem.int_metric`, the stored metric over one
+common denominator; their D and t values are its shared Fractions, one per
+distinct distance, and a D turns back into its int as
+d.numerator * (scale // d.denominator).
 Every sweep over point pairs compares ints: a modulus weighs each pair by an
 int (a cycle maximum or a target distance over `int_metric`, or an
 oscillation from `_oscillations`), and each table entry becomes one Fraction,
@@ -163,12 +165,12 @@ def modulus_at(table: tuple, t) -> Fraction:
 
 def omega_map_table(system: FiniteSystem) -> tuple:
     """((t, omega_map(t)), ...) over the realized distances t, each pair
-    weighed by the int maximum of its pair cycle over `int_metric`."""
+    weighed by the D of its pair cycle as an int over `int_metric`."""
     n = system.n
-    ints, scale = system.int_metric
+    scale = system.int_metric[1]
     orbit = [0] * (n * n)
-    for _, cycle in system.orbit_cycles:
-        top = max(ints[i][j] for i, j in cycle)
+    for d, cycle in system.orbit_cycles:
+        top = d.numerator * (scale // d.denominator)
         for i, j in cycle:
             orbit[i * n + j] = top
     return modulus_table(system, lambda i, j: orbit[i * n + j], Fraction(1, scale))
@@ -298,7 +300,7 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
     lengths), and each system caches its powers under that key: every level
     and observable asking for one power share one system, so its pair cycles
     are walked once.  The key of f itself returns the system.  A power takes
-    the system's `int_metric`, since its metric is the same.
+    the system's `int_metric` object, since its metric is the same.
     """
     if k == 0:
         raise ValueError("power_system needs k != 0")
@@ -314,8 +316,7 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
             shift = key % len(cycle)
             for pos, i in enumerate(cycle):
                 perm[i] = cycle[(pos + shift) % len(cycle)]
-        power = FiniteSystem(system.points, system.metric, tuple(perm))
-        object.__setattr__(power, "int_metric", system.int_metric)
+        power = FiniteSystem(system.points, system.int_metric, tuple(perm))
         system._powers[key] = power
     return power
 
@@ -357,8 +358,8 @@ def periodic_level_report(system: FiniteSystem, phi: Observable, k: int) -> Peri
     power = power_system(system, k)
     dstar_k = delta_star(power, phi)
     ints, scale = system.int_metric
-    # A finite delta* is a metric entry, so it scales to an int.
-    limit = dstar_k if dstar_k is INF else (dstar_k * scale).numerator
+    # A finite delta* is a distance, so it scales to an int.
+    limit = dstar_k if dstar_k is INF else dstar_k.numerator * (scale // dstar_k.denominator)
     fixed_ids = [system.index(p) for p in fixed]
     distinct = dict.fromkeys(ids[i] for i in fixed_ids)
     violations = []

@@ -1,11 +1,14 @@
 import json
+import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 import oracles
 
+from expobs.algebra import Conjugacy, conjugacy_invariance_report, law_suite
 from expobs.errors import (
     DegenerateSpace,
     DomainMismatch,
@@ -26,6 +29,9 @@ from expobs.model import (
     serialize_observable,
     serialize_system,
 )
+from expobs.relations import gamma_k
+from expobs.report import analyze, render_report
+from expobs.sampling import random_observable
 
 L4_DOC = {
     "points": ["a", "b", "c", "d"],
@@ -153,10 +159,13 @@ class TestIngestMessages:
                 assert other.metric == built[0].metric
                 assert other.orbit_cycles == built[0].orbit_cycles
                 assert other.int_metric == (ints, 1)
+                assert other == built[0] and hash(other) == hash(built[0])
             text_rows = [[str(v) for v in row] for row in system.metric]
             from_text = FiniteSystem.build(system.points, text_rows, mapping)
             assert from_text.metric == system.metric
             assert from_text.orbit_cycles == system.orbit_cycles
+            assert from_text == system and hash(from_text) == hash(system)
+            assert math.gcd(system.int_metric[1], *chain.from_iterable(ints)) == 1
 
     def test_equal_distances_share_one_object(self):
         system = parse_system(identity_document(
@@ -164,6 +173,11 @@ class TestIngestMessages:
         ))
         halves = {id(v) for row in system.metric for v in row if v == Fraction(1, 2)}
         assert len(halves) == 1
+        metric = system.metric
+        for d, cycle in system.orbit_cycles:
+            assert any(metric[i][j] is d for i, j in cycle)
+        for t, pairs in system.distance_groups:
+            assert all(metric[i][j] is t for i, j in pairs)
 
 
 class TestSystemBasics:
@@ -185,6 +199,19 @@ class TestSystemBasics:
         vals = cat5.realized_distances()
         assert vals == tuple(sorted(vals))
         assert all(v > 0 for v in vals)
+
+    def test_analysis_never_builds_the_fraction_matrix(self, small_corpus):
+        rng = random.Random(29)
+        for source in small_corpus[:8]:
+            system, target = (parse_system(serialize_system(source)) for _ in range(2))
+            observables = [random_observable(rng, system) for _ in range(2)]
+            render_report(analyze(system, observables, seed=3))
+            law_suite(system, trials=5, seed=3)
+            conj = Conjugacy.build(system, target, {p: p for p in system.points})
+            conjugacy_invariance_report(conj, observables, seed=3)
+            gamma_k(system, 3, system.distance_groups[-1][0] / 2)
+            assert "metric" not in vars(system)
+            assert "metric" not in vars(target)
 
 
 class TestObservable:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from expobs import relations
 from expobs.exact import INF, GaussianRational
 from expobs.library import rotation_grid
 from expobs.model import FiniteSystem, Observable, distance_observable
@@ -352,7 +353,8 @@ class TestPowersAndPeriodicLevels:
                     assert fixed_points(system, k) == tuple(
                         p for i, p in enumerate(system.points) if perm[i] == i
                     )
-                fresh = FiniteSystem(system.points, system.metric, power.perm)
+                assert power.int_metric is system.int_metric
+                fresh = FiniteSystem(system.points, system.int_metric, power.perm)
                 assert power.orbit_cycles == fresh.orbit_cycles
                 for phi in observables:
                     assert delta_star(power, phi) == delta_star(fresh, phi)
@@ -412,6 +414,24 @@ class TestPowersAndPeriodicLevels:
         assert rep.k == 2
         assert len(rep.fixed) == 4
         assert len(rep.distinct_values) == 2
+
+    def test_violations_below_a_forced_power_threshold(
+        self, small_corpus, observables_for, monkeypatch
+    ):
+        """The check itself, fed each realized distance t as the power's
+        delta*: exactly the pairs closer than t with unequal values are
+        reported.  A true delta* never yields one, so it is forced here."""
+        forced = {}
+        monkeypatch.setattr(relations, "delta_star", lambda power, phi: forced["t"])
+        for idx, system in enumerate(small_corpus[:12]):
+            k = oracles.permutation_order(system)
+            for phi in observables_for(system, 2, seed=500 + idx):
+                for t in system.realized_distances():
+                    forced["t"] = t
+                    rep = periodic_level_report(system, phi, k)
+                    _, expected = oracles.brute_periodic_level(system, phi, k, t)
+                    assert rep.violations == expected
+                    assert rep.holds == (not expected)
 
     def test_periodic_levels_hold_on_corpus(self, small_corpus, observables_for):
         for idx, system in enumerate(small_corpus[:12]):
