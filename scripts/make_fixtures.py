@@ -21,6 +21,7 @@ from expobs.library import (
     line_swap_system,
     m0_circle_document,
     plateau_circle_document,
+    quarter_turn_circle_document,
     reflection_interval_document,
     rigid_rotation_document,
     rotation_grid,
@@ -63,6 +64,7 @@ def documents():
         "rotation_grid_8_system": serialize_system(r8),
         "m0_circle": m0_circle_document(),
         "plateau_circle": plateau_circle_document(),
+        "quarter_turn_circle": quarter_turn_circle_document(),
         "rigid_rotation_3_8": rigid_rotation_document("3/8"),
         "valley_interval": valley_interval_document(),
         "reflection_interval": reflection_interval_document(),

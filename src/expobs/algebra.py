@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,6 +333,21 @@ class ConjugacyInvarianceReport:
         return not self.violations
 
 
+def _transfer_violations(idx: int, omega_tab: tuple, d_tgt: ExtScalar,
+                         d_src: ExtScalar) -> list:
+    """Observable idx's realized t with omega_h(t) < d_tgt but d_src <= t.
+    omega_h is nondecreasing, so the first condition holds on a prefix of the
+    table and the second on a suffix: two bisections, and INF for either
+    constant compares above every entry."""
+    start = bisect_left(omega_tab, d_src, key=lambda entry: entry[0])
+    stop = bisect_left(omega_tab, d_tgt, key=lambda entry: entry[1])
+    return [
+        f"observable {idx}: omega_h({t}) = {w} < {format_extended(d_tgt)} but "
+        f"delta_star(H phi) = {format_extended(d_src)} <= {t}"
+        for t, w in omega_tab[start:stop]
+    ]
+
+
 def conjugacy_invariance_report(
     conj: Conjugacy, observables=None, seed: int = 0, samples: int = 8
 ) -> ConjugacyInvarianceReport:
@@ -353,13 +369,7 @@ def conjugacy_invariance_report(
         pulled = transport(conj, phi)
         d_src = delta_star(conj.source, pulled)
         entries.append((d_tgt, d_src))
-        for t, w in omega_tab:
-            if d_tgt > w and d_src <= t:
-                violations.append(
-                    f"observable {idx}: omega_h({t}) = {w} < "
-                    f"{format_extended(d_tgt)} but delta_star(H phi) = "
-                    f"{format_extended(d_src)} <= {t}"
-                )
+        violations += _transfer_violations(idx, omega_tab, d_tgt, d_src)
         if iso and d_src != d_tgt:
             violations.append(
                 f"observable {idx}: isometric conjugacy changed delta_star: "

@@ -13,7 +13,8 @@ A PL function's affine pieces are derived from its node lists in one place,
 caches that table once over its nodes closed by (1, F(0) + 1), and every
 reader takes its pieces from there: F and its inverse by a bisection on the
 nodes or on the values, affine spans by the piece holding the span's start,
-periodic points by solving each piece.
+periodic points by solving each piece.  Certification composes the power
+F^q once; replay never composes, it iterates F q times (`IteratedPower`).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class PLCircleMap:
 
     @classmethod
     def build(cls, breakpoints, values) -> "PLCircleMap":
-        bs = tuple(Fraction(b) for b in breakpoints)
-        vs = tuple(Fraction(v) for v in values)
+        bs = tuple(b if type(b) is Fraction else Fraction(b) for b in breakpoints)
+        vs = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(bs) != len(vs) or not bs:
             raise InvalidDocument("breakpoints and lift values must pair up")
         if bs[0] != 0:
@@ -100,20 +101,24 @@ class PLCircleMap:
         return (xs, ys, *_pieces(xs, ys))
 
     def eval_lift(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
         n = _floor(x)
-        r = x - n
+        r = x - n if n else x
         xs, _, slopes, offsets = self.segments
         i = bisect_right(xs, r) - 1
-        return slopes[i] * r + offsets[i] + n
+        y = slopes[i] * r + offsets[i]
+        return y + n if n else y
 
     def inverse_lift(self, y: Fraction) -> Fraction:
-        y = Fraction(y)
+        if type(y) is not Fraction:
+            y = Fraction(y)
         _, ys, slopes, offsets = self.segments
         k = _floor(y - ys[0])   # y - k lies in [F(0), F(0) + 1)
-        yr = y - k
+        yr = y - k if k else y
         i = bisect_right(ys, yr) - 1
-        return (yr - offsets[i]) / slopes[i] + k
+        x = (yr - offsets[i]) / slopes[i]
+        return x + k if k else x
 
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
         """Slope of the map on [lo, hi] if it is affine there, else None.
@@ -162,6 +167,42 @@ def circle_power(base: PLCircleMap, q: int) -> PLCircleMap:
 
 def shift_values(mapping: PLCircleMap, p: int) -> PLCircleMap:
     return PLCircleMap(mapping.breakpoints, tuple(v - p for v in mapping.values))
+
+
+class IteratedPower:
+    """F^q - p by iterating the base lift F q times: the values and affine
+    spans of `shift_values(circle_power(base, q), p)`, with no composition.
+    `compose_circle` keeps every pulled-back node, so F^q is affine on
+    [lo, hi] exactly when F is affine on each F^i([lo, hi]), i < q, and its
+    slope there is the product of theirs."""
+
+    def __init__(self, base: PLCircleMap, q: int, p: int):
+        if q < 1:
+            raise ValueError("power needs q >= 1")
+        self.base, self.q, self.p = base, q, p
+
+    def eval_lift(self, x: Fraction) -> Fraction:
+        step = self.base.eval_lift
+        for _ in range(self.q):
+            x = step(x)
+        return x - self.p
+
+    def inverse_lift(self, y: Fraction) -> Fraction:
+        y += self.p
+        step = self.base.inverse_lift
+        for _ in range(self.q):
+            y = step(y)
+        return y
+
+    def affine_span_slope(self, lo: Fraction, hi: Fraction):
+        base, product = self.base, 1
+        for _ in range(self.q):
+            slope = base.affine_span_slope(lo, hi)
+            if slope is None:
+                return None
+            product *= slope
+            lo, hi = base.eval_lift(lo), base.eval_lift(hi)
+        return product
 
 
 def parse_circle_map(document) -> PLCircleMap:
@@ -481,9 +522,10 @@ def verify_certificate(cert: Certificate, delta: Fraction = None,
     Recomputes the reduced power, re-walks the probe orbit, and re-checks
     every inequality; any exact mismatch or failed bound becomes a violation.
     A larger delta may be supplied: a certificate for delta also certifies
-    every delta' >= delta.  A circle certificate's q costs q - 1 compositions
-    to replay, so q above q_max (the bound `certify` searched under) raises
-    HorizonExceeded before any of them.
+    every delta' >= delta.  A circle certificate replays its reduced power
+    as `IteratedPower`, q base steps per endpoint and no composition, so q
+    above q_max (the bound `certify` searched under) raises HorizonExceeded
+    before any step.
     """
     delta = cert.delta if delta is None else Fraction(delta)
     violations = []
@@ -493,8 +535,7 @@ def verify_certificate(cert: Certificate, delta: Fraction = None,
         if cert.space == "circle":
             if cert.q > q_max:
                 raise HorizonExceeded(f"certificate q = {cert.q} exceeds q_max = {q_max}")
-            base = parse_circle_map(cert.map_document)
-            g = shift_values(circle_power(base, cert.q), cert.p)
+            g = IteratedPower(parse_circle_map(cert.map_document), cert.q, cert.p)
             cap = CIRCLE_DIAM_CAP
         else:
             # Parsing already reduces a decreasing document to its square,

@@ -74,6 +74,17 @@ def plateau_circle_document() -> dict:
     }
 
 
+def quarter_turn_circle_document() -> dict:
+    """Rotation number 1/4: x + 1/4 after a bump that fixes every multiple of
+    1/4 (slope 3/2, then 1/2, on each quarter), so F^4 - 1 fixes exactly those
+    points and every quarter arc wanders.
+    """
+    return {
+        "breakpoints": ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8"],
+        "lift_values": ["1/4", "7/16", "1/2", "11/16", "3/4", "15/16", "1", "19/16"],
+    }
+
+
 def rigid_rotation_document(rho: str) -> dict:
     return {"breakpoints": ["0"], "lift_values": [rho]}
 

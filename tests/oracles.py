@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from expobs.circle import PLCircleMap
-from expobs.exact import INF, GaussianRational
+from expobs.exact import INF, GaussianRational, format_extended
 from expobs.model import FiniteSystem, Observable
 from expobs.sampling import random_metric
 from expobs.shift import CylinderObservable, EPPoint, in_dynamical_ball
@@ -223,6 +223,17 @@ def brute_omega_h(conj, t: Fraction) -> Fraction:
             if conj.source.dist(a, b) <= t:
                 best = max(best, conj.target.dist(h[a], h[b]))
     return best
+
+
+def scan_transfer_violations(idx, omega_table, d_tgt, d_src) -> list:
+    """`conjugacy_invariance_report`'s transfer-law lines for observable idx,
+    found by testing every omega_h table entry."""
+    return [
+        f"observable {idx}: omega_h({t}) = {w} < {format_extended(d_tgt)} but "
+        f"delta_star(H phi) = {format_extended(d_src)} <= {t}"
+        for t, w in omega_table
+        if d_tgt > w and d_src <= t
+    ]
 
 
 def fraction_is_isometry(conj) -> bool:

@@ -176,6 +176,46 @@ class TestConjugacy:
             (t, 2 * t) for t in l4.realized_distances()
         )
 
+    def test_transfer_violations_match_the_scan(self, small_corpus):
+        """The two bisections against a scan of every omega_h entry, for each
+        corpus system conjugated along f to its copy with the metric halved,
+        with both constants drawn from 0, INF, every t and omega_h(t), and
+        the midpoints of consecutive t."""
+        found = 0
+        for system in small_corpus[:12]:
+            along_f = {p: system.apply(p) for p in system.points}
+            halved = FiniteSystem.build(
+                system.points, [[v / 2 for v in row] for row in system.metric], along_f
+            )
+            table = omega_h_table(Conjugacy.build(system, halved, along_f))
+            ts = [t for t, _ in table]
+            values = [Fraction(0), INF, *ts, *(w for _, w in table)]
+            values += [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+            for d_tgt in values:
+                for d_src in values:
+                    lines = algebra._transfer_violations(3, table, d_tgt, d_src)
+                    assert lines == oracles.scan_transfer_violations(3, table, d_tgt, d_src)
+                    found += len(lines)
+        assert found > 1000
+
+    def test_report_lists_violations_in_scan_order(self, l4, monkeypatch):
+        """With every target constant tripled and every source constant
+        forced to 0, the report's lines are the scan's, observable by
+        observable."""
+        conj = Conjugacy.build(l4, doubled_l4(l4), {p: p for p in l4.points})
+        real = algebra.delta_star
+        monkeypatch.setattr(
+            algebra, "delta_star",
+            lambda system, phi: 3 * real(system, phi) if system is conj.target else Fraction(0),
+        )
+        report = conjugacy_invariance_report(conj, seed=2, samples=6)
+        expected = [
+            line
+            for idx, (d_tgt, d_src) in enumerate(report.entries)
+            for line in oracles.scan_transfer_violations(idx, report.omega_table, d_tgt, d_src)
+        ]
+        assert expected and list(report.violations) == expected
+
     def test_is_isometry_matches_fraction_comparison(self, small_corpus):
         """Each corpus system against itself (by the identity and along f), a
         relabelled conjugate, a copy with its metric halved, and a copy with

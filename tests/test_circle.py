@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from expobs.circle import (
     CIRCLE_DIAM_CAP,
     Certificate,
+    IteratedPower,
     PLCircleMap,
     PLObservable,
     analyze_rotation_case,
@@ -36,6 +37,7 @@ from expobs.circle import (
 )
 from expobs.errors import (
     AllFixed,
+    HorizonExceeded,
     InvalidDocument,
     NoPeriodicOrbit,
     NotRigid,
@@ -44,6 +46,7 @@ from expobs.errors import (
 from expobs.library import (
     m0_circle_document,
     plateau_circle_document,
+    quarter_turn_circle_document,
     reflection_interval_document,
     rigid_rotation_document,
     valley_interval_document,
@@ -200,6 +203,51 @@ class TestPLCircleMap:
         assert a == b
         assert len(a) == 12
         int(a, 16)
+
+
+class TestLiftInputs:
+    """The lifts convert only inputs that are not already `Fraction`s and
+    shift by the floor only when it is nonzero; `build` converts likewise."""
+
+    def test_int_and_str_inputs_give_fractions(self, m0, plateau):
+        for mapping in (m0, plateau):
+            for raw in (0, 3, -2, "2", "5/7", "-13/4"):
+                for method in (mapping.eval_lift, mapping.inverse_lift):
+                    value = method(raw)
+                    assert type(value) is Fraction
+                    assert value == method(Fraction(raw))
+
+    def test_results_at_floor_zero_positive_and_negative(self):
+        for mapping in oracle_maps():
+            start = mapping.values[0]
+            for shift in (0, 3, -4):
+                for r in rational_points(6, 57) + [Fraction(0)]:
+                    x, y = r + shift, start + r + shift
+                    assert mapping.eval_lift(x) == interp_lift(mapping, x)
+                    assert mapping.inverse_lift(y) == scan_inverse_lift(mapping, y)
+                    assert type(mapping.eval_lift(x)) is type(mapping.inverse_lift(y)) is Fraction
+
+    def test_build_converts_int_and_str(self):
+        built = PLCircleMap.build([0, "1/4", Fraction(1, 2)], ["-1", Fraction(-7, 8), "-1/4"])
+        assert built == PLCircleMap.build(
+            [Fraction(0), Fraction(1, 4), Fraction(1, 2)],
+            [Fraction(-1), Fraction(-7, 8), Fraction(-1, 4)],
+        )
+        assert all(type(v) is Fraction for v in built.breakpoints + built.values)
+
+    @pytest.mark.parametrize("bs, vs, message", [
+        ([], [], "breakpoints and lift values must pair up"),
+        ([0, "1/2"], [0], "breakpoints and lift values must pair up"),
+        (["1/4"], [0], "breakpoints must start at 0"),
+        ([0, 1], [0, "1/2"], "breakpoints must lie in [0, 1)"),
+        ([0, Fraction(1, 2), "1/4"], [0, 1, 2], "breakpoints must be strictly increasing"),
+        ([0, "1/2"], ["1/2", 0], "lift values must increase strictly with slope > 0"),
+        ([Fraction(0), "1/2"], [0, 1], "lift values must increase strictly with slope > 0"),
+    ])
+    def test_build_keeps_every_check(self, bs, vs, message):
+        with pytest.raises(InvalidDocument) as info:
+            PLCircleMap.build(bs, vs)
+        assert str(info.value) == message
 
 
 class TestPieceTable:
@@ -396,6 +444,87 @@ class TestPeriodicStructure:
             assert report.arcs == circle_module._complement_arcs(
                 *periodic_points(mapping, report.p, report.q)
             )
+
+
+def composed_and_iterated(count, seed):
+    """(base, composed, iterated) with q in 1..6 and p in -2..2, on bump maps
+    and random lifts: composed is `shift_values(circle_power(base, q), p)`."""
+    rng = random.Random(seed)
+    for base in symmetric_bump_maps(count, seed) + random_lifts(count, seed + 1):
+        q, p = rng.randint(1, 6), rng.randint(-2, 2)
+        yield base, shift_values(circle_power(base, q), p), IteratedPower(base, q, p)
+
+
+class TestIteratedPower:
+    """The replay's reduced power iterates the base lift and equals the
+    composed power on every reader `verify_certificate` calls."""
+
+    def test_values_match_the_composed_power(self):
+        rng = random.Random(61)
+        for base, composed, iterated in composed_and_iterated(10, seed=62):
+            points = [b + n for b in composed.breakpoints for n in (-1, 0, 2)]
+            points += [Fraction(rng.randrange(-600, 600), 288) for _ in range(20)]
+            for x in points:
+                assert iterated.eval_lift(x) == composed.eval_lift(x)
+                assert iterated.inverse_lift(x) == composed.inverse_lift(x)
+
+    def test_affine_spans_match_the_composed_power(self):
+        """Spans over the composed power's nodes: some straddle a node that
+        only a pulled-back base node gives, some end exactly on one, some
+        are longer than 1."""
+        rng = random.Random(63)
+        straddle = on_node = longer = 0
+        for base, composed, iterated in composed_and_iterated(10, seed=64):
+            pulled = [b + n for b in set(composed.breakpoints) - set(base.breakpoints)
+                      for n in range(-3, 4)]
+            for lo, hi in probe_spans(composed, rng):
+                slope = composed.affine_span_slope(lo, hi)
+                assert iterated.affine_span_slope(lo, hi) == slope
+                lo, hi = min(lo, hi), max(lo, hi)
+                straddle += any(lo < x < hi for x in pulled)
+                on_node += lo in pulled or hi in pulled
+                longer += hi - lo > 1
+        assert straddle >= 1000 and on_node >= 1000 and longer >= 500
+
+    def test_q_below_one_is_refused_like_circle_power(self, m0):
+        for q in (0, -1):
+            with pytest.raises(ValueError, match="power needs q >= 1"):
+                IteratedPower(m0, q, 0)
+
+    def test_verify_composes_nothing(self, monkeypatch):
+        circle_module = importlib.import_module("expobs.circle")
+        calls = []
+        compose = circle_module.compose_circle
+
+        def counting(outer, inner):
+            calls.append(1)
+            return compose(outer, inner)
+
+        maps = [parse_circle_map(quarter_turn_circle_document())] + symmetric_bump_maps(12, seed=65)
+        certs = []
+        for mapping in maps:
+            try:
+                certs.append(certify(mapping, Fraction(1, 64)))
+            except NoWanderingInterval:
+                continue
+        assert sum(cert.q > 1 for cert in certs) >= 5
+        monkeypatch.setattr(circle_module, "compose_circle", counting)
+        for cert in certs:
+            assert verify_certificate(parse_certificate(serialize_certificate(cert))).ok
+        assert calls == []
+
+    def test_q_above_q_max_is_refused_before_any_step(self, monkeypatch):
+        circle_module = importlib.import_module("expobs.circle")
+        cert = certify(parse_circle_map(quarter_turn_circle_document()), Fraction(1, 16))
+        assert cert.q == 4
+        calls = []
+        for name in ("eval_lift", "inverse_lift", "affine_span_slope"):
+            monkeypatch.setattr(PLCircleMap, name, lambda *args, name=name: calls.append(name))
+        for name in ("parse_circle_map", "compose_circle"):
+            monkeypatch.setattr(circle_module, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(HorizonExceeded, match="certificate q = 4 exceeds q_max = 3"):
+            verify_certificate(cert, q_max=3)
+        assert calls == []
 
 
 class TestCertify:

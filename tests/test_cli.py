@@ -12,6 +12,7 @@ from expobs.cli import main
 from expobs.errors import InvariantViolation
 from expobs.library import (
     m0_circle_document,
+    quarter_turn_circle_document,
     reflection_interval_document,
     rigid_rotation_document,
     valley_interval_document,
@@ -482,11 +483,7 @@ class TestCircle:
         assert len(calls) == 7
 
 
-# Rotation number 1/4: x + 1/4 after a bump fixing each multiple of 1/4.
-QUARTER_TURN_MAP = json.dumps({
-    "breakpoints": ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8"],
-    "lift_values": ["1/4", "7/16", "1/2", "11/16", "3/4", "15/16", "1", "19/16"],
-})
+QUARTER_TURN_MAP = json.dumps(quarter_turn_circle_document())
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -533,8 +530,8 @@ class TestCertifyHorizon:
 
 
 class TestVerifyBudget:
-    """Replaying a circle certificate composes the map q - 1 times, so verify
-    takes the --q-max budget that certify searched under."""
+    """Replaying a circle certificate iterates the map q times per endpoint,
+    so verify takes the --q-max budget that certify searched under."""
 
     def test_huge_q_exits_one_fast(self, capsys):
         doc = _certificate(capsys, "circle", m0_circle_document())
@@ -552,6 +549,24 @@ class TestVerifyBudget:
         assert code == 0 and json.loads(out)["q"] == 4
         code, out, _ = run(capsys, "circle", "verify", "--cert", out, "--q-max", q_max)
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_verify_composes_nothing(self, capsys, monkeypatch):
+        code, cert, _ = run(capsys, "circle", "certify", "--map", QUARTER_TURN_MAP,
+                            "--delta", "1/16")
+        assert code == 0
+        calls = []
+        compose = circle.compose_circle
+
+        def counted(outer, inner):
+            calls.append(1)
+            return compose(outer, inner)
+
+        monkeypatch.setattr(circle, "compose_circle", counted)
+        code, out, _ = run(capsys, "circle", "verify", "--cert", cert)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert calls == []
+        run(capsys, "circle", "certify", "--map", QUARTER_TURN_MAP, "--delta", "1/16")
+        assert len(calls) == 3
 
     def test_q_above_the_verify_budget_exits_one(self, capsys):
         code, cert, _ = run(capsys, "circle", "certify", "--map", QUARTER_TURN_MAP,

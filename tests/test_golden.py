@@ -94,6 +94,25 @@ CIRCLE = {
     "plateau_circle": "a6a945e41d4b772acd231d0cde210e5e85b8ddeb350406aacb67bb37f6d77971",
 }
 
+# circle certify of the quarter-turn map (q = 4, p = 1) at delta 1/16, then
+# verify of that certificate and of three tampered copies, each of which
+# replays F^4 - p.  1/27 is a node of F^4 (the base node 1/8 pulled back three
+# times) but no node of F, so the widened backward span crosses a node that
+# only the fourth power has.
+QUARTER_TURN = "7eb46caf09a13028f133bf64cffae9c40491a8cff6cbc2cb2cdfa785f53a84a5"
+QUARTER_TURN_TAMPERS = {
+    "unchanged": lambda doc: None,
+    "p_plus_one": lambda doc: doc.update(p=doc["p"] + 1),
+    "forward_slope": lambda doc: doc["tail"]["forward"].update(slope="1/8"),
+    "backward_span_across_node": lambda doc: doc["tail"]["backward"].update(span=["0", "1/24"]),
+}
+QUARTER_TURN_VERIFY = {
+    "unchanged": (0, VERIFIED_OK),
+    "p_plus_one": (2, "a43ddc16ff7f3d209269e9fb50872cf88d33fb817defa0e11e8c02f613e68673"),
+    "forward_slope": (2, "e6361b6e87ffcc183cc0bfd5670285f6dfe66e1cfdec120b781fe35200474498"),
+    "backward_span_across_node": (2, "b4903b8646e9a5e3ee5a4b2dcc4a8c43b441a6d5f7a663c87d4d167bb1f98167"),
+}
+
 # circle certify at delta 1/16 with a separation gap for GAP_OBSERVABLE, whose
 # breakpoint 1/4 lies inside m0's probe.
 GAP_OBSERVABLE = {"breakpoints": ["0", "1/4", "1/2", "1"], "values": ["0", "1", "-1/3", "2"]}
@@ -171,6 +190,18 @@ def test_conjugacy_along_own_map(system, tmp_path):
     assert digest_of(argv, tmp_path / "conjugacy.json") == (0, CONJUGACY[system])
 
 
+def quarter_turn_verify_argv(tamper, tmp_path):
+    """circle verify of the quarter-turn certificate, edited by `tamper`."""
+    cert_path = tmp_path / "quarter_turn_cert.json"
+    assert digest_of(["circle", "certify", "--map", fixture("quarter_turn_circle"),
+                      "--delta", "1/16"], cert_path) == (0, QUARTER_TURN)
+    doc = json.loads(cert_path.read_text())
+    QUARTER_TURN_TAMPERS[tamper](doc)
+    tampered = tmp_path / f"{tamper}.json"
+    tampered.write_text(json.dumps(doc))
+    return ["circle", "verify", "--cert", str(tampered)]
+
+
 def test_digests_hold_under_optimized_interpreter(tmp_path):
     """Every invariant check runs under `python -O`, which strips asserts, so
     a fresh optimized interpreter must write the same bytes."""
@@ -178,17 +209,19 @@ def test_digests_hold_under_optimized_interpreter(tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     cases = [
-        (analyze_argv("line_swap_system"), ANALYZE["line_swap_system"][1]),
-        (conjugacy_argv("random_system_1", tmp_path), CONJUGACY["random_system_1"]),
-        (laws_random_1_argv(), LAWS_RANDOM_1_DIGEST),
+        (analyze_argv("line_swap_system"), (0, ANALYZE["line_swap_system"][1])),
+        (conjugacy_argv("random_system_1", tmp_path), (0, CONJUGACY["random_system_1"])),
+        (laws_random_1_argv(), (0, LAWS_RANDOM_1_DIGEST)),
+        *((quarter_turn_verify_argv(tamper, tmp_path), QUARTER_TURN_VERIFY[tamper])
+          for tamper in sorted(QUARTER_TURN_VERIFY)),
     ]
-    for argv, expected in cases:
+    for argv, (code, expected) in cases:
         out_path = tmp_path / "report.json"
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "expobs.cli", *argv, "--out", str(out_path)],
             env=env, capture_output=True, text=True, check=False,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected
 
 
@@ -207,6 +240,12 @@ def test_circle_certify_and_verify(circle, tmp_path):
     assert digest_of(argv, cert) == (0, CIRCLE[circle])
     argv = ["circle", "verify", "--cert", str(cert)]
     assert digest_of(argv, tmp_path / "verify.json") == (0, VERIFIED_OK)
+
+
+@pytest.mark.parametrize("tamper", sorted(QUARTER_TURN_VERIFY))
+def test_quarter_turn_certify_and_verify(tamper, tmp_path):
+    argv = quarter_turn_verify_argv(tamper, tmp_path)
+    assert digest_of(argv, tmp_path / "verify.json") == QUARTER_TURN_VERIFY[tamper]
 
 
 @pytest.mark.parametrize("interval", sorted(INTERVAL))
