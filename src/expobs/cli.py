@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Every subcommand reads JSON documents (inline or by path), runs one pipeline,
-and emits a deterministic JSON (or SVG) report.  Exit codes: 0 success,
-1 invalid input or usage, 2 a mathematical property failed verification
-(or an invariant of the engine itself broke).
+Every subcommand reads JSON documents (inline or by path) and runs one
+pipeline.  Its handler returns `(document, passed)`: a dict, or the SVG text
+for `plot`, and whether every property it checked held.  `main` alone renders
+the document, writes it to `--out` or stdout, and picks the exit code:
+0 success, 1 invalid input or usage, 2 a mathematical property failed
+verification (or an invariant of the engine itself broke).
 """
 
 from __future__ import annotations
@@ -76,18 +78,6 @@ def _load_document(text: str):
         return json.load(fh)
 
 
-def _emit(text: str, out: str = None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_doc(doc, out: str = None) -> None:
-    _emit(render_report(doc), out)
-
-
 def _fractions(values) -> tuple:
     return tuple(parse_rational(v) for v in values)
 
@@ -95,7 +85,7 @@ def _fractions(values) -> tuple:
 # --- subcommand implementations -------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     system = parse_system(_load_document(args.system))
     observables = tuple(
         parse_observable(_load_document(doc), system) for doc in args.observable
@@ -114,22 +104,20 @@ def _cmd_analyze(args) -> int:
         periodic_levels=levels,
         seed=args.seed,
     )
-    _emit_doc(report, args.out)
-    return EXIT_OK
+    return report, True
 
 
-def _cmd_dstar(args) -> int:
+def _cmd_dstar(args):
     system = parse_system(_load_document(args.system))
     phi = parse_observable(_load_document(args.observable), system)
     doc = {
         "delta_star": format_extended(delta_star(system, phi)),
         "sigma_star_sq": format_extended(sigma_star(system, phi)),
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args):
     system = parse_system(_load_document(args.system))
     threshold = parse_rational(args.threshold)
     quotient = indistinguishability_quotient(system, threshold)
@@ -137,18 +125,16 @@ def _cmd_quotient(args) -> int:
         "threshold": format_rational(threshold),
         "blocks": [list(b) for b in quotient.blocks],
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_laws(args) -> int:
+def _cmd_laws(args):
     system = parse_system(_load_document(args.system))
     report = law_suite(system, trials=args.trials, seed=args.seed)
-    _emit_doc(law_report_document(report), args.out)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return law_report_document(report), report.passed
 
 
-def _cmd_conjugacy(args) -> int:
+def _cmd_conjugacy(args):
     source = parse_system(_load_document(args.source))
     target = parse_system(_load_document(args.target))
     mapping = _as_dict(_load_document(args.map))
@@ -173,8 +159,7 @@ def _cmd_conjugacy(args) -> int:
         ],
         "violations": list(report.violations),
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return doc, report.passed
 
 
 def _sym_points(args):
@@ -182,19 +167,17 @@ def _sym_points(args):
     return tuple(parse_point(_load_document(text), alphabet) for text in (args.x, args.y))
 
 
-def _cmd_sym_distance(args) -> int:
+def _cmd_sym_distance(args):
     x, y = _sym_points(args)
-    _emit_doc({"distance": format_rational(sym_distance(x, y))}, args.out)
-    return EXIT_OK
+    return {"distance": format_rational(sym_distance(x, y))}, True
 
 
-def _cmd_sym_orbit_sup(args) -> int:
+def _cmd_sym_orbit_sup(args):
     x, y = _sym_points(args)
-    _emit_doc({"orbit_sup": format_rational(sym_orbit_sup(x, y))}, args.out)
-    return EXIT_OK
+    return {"orbit_sup": format_rational(sym_orbit_sup(x, y))}, True
 
 
-def _cmd_sym_ball(args) -> int:
+def _cmd_sym_ball(args):
     x, y = _sym_points(args)
     eps = parse_rational(args.epsilon)
     k = snap_epsilon(eps)
@@ -205,26 +188,21 @@ def _cmd_sym_ball(args) -> int:
         "side": args.side,
         "in_ball": in_dynamical_ball(x, y, eps, args.side),
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_sym_stable(args) -> int:
+def _cmd_sym_stable(args):
     x, y = _sym_points(args)
-    doc = {"side": args.side, "stable_equivalent": stable_equiv(x, y, args.side)}
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return {"side": args.side, "stable_equivalent": stable_equiv(x, y, args.side)}, True
 
 
-def _cmd_sym_obs_stable(args) -> int:
+def _cmd_sym_obs_stable(args):
     x, y = _sym_points(args)
     phi = parse_cylinder_observable(_load_document(args.observable))
-    doc = {"side": args.side, "values_converge": obs_stable_equiv(x, y, phi, args.side)}
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return {"side": args.side, "values_converge": obs_stable_equiv(x, y, phi, args.side)}, True
 
 
-def _cmd_sym_check_inclusion(args) -> int:
+def _cmd_sym_check_inclusion(args):
     alphabet = tuple(args.alphabet) if args.alphabet else None
     x = parse_point(_load_document(args.point), alphabet)
     phi = parse_cylinder_observable(_load_document(args.observable))
@@ -240,11 +218,10 @@ def _cmd_sym_check_inclusion(args) -> int:
         "counterexamples": [serialize_point(p) for p in report.counterexamples],
         "passed": report.passed,
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return doc, report.passed
 
 
-def _cmd_sym_asymptotic_pair(args) -> int:
+def _cmd_sym_asymptotic_pair(args):
     spec = SubshiftSpec.make(tuple(args.alphabet), tuple(args.forbidden))
     observables = tuple(
         parse_cylinder_observable(_load_document(doc)) for doc in args.observable
@@ -256,22 +233,20 @@ def _cmd_sym_asymptotic_pair(args) -> int:
         "side": pair.side,
         "verified_observables": pair.verified_observables,
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_circle_rotnum(args) -> int:
+def _cmd_circle_rotnum(args):
     mapping = parse_circle_map(_load_document(args.map))
     rho = rotation_number(mapping, args.q_max)
     doc = {
         "rotation_number": None if rho is None else format_rational(rho),
         "q_max": args.q_max,
     }
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_circle_certify(args) -> int:
+def _cmd_circle_certify(args):
     mapping = parse_circle_map(_load_document(args.map))
     try:
         cert = certify(mapping, parse_rational(args.delta), q_max=args.q_max, n_max=args.n_max)
@@ -286,8 +261,7 @@ def _cmd_circle_certify(args) -> int:
                     "is not a rigid rotation; every point is periodic"
                 ),
             }
-            _emit_doc(doc, args.out)
-            return EXIT_OK
+            return doc, True
         # certify raises NoWanderingInterval only when there is no arc.
         doc = {
             "outcome": "rigid_rotation",
@@ -302,39 +276,33 @@ def _cmd_circle_certify(args) -> int:
             "single_block": case.single_block,
             "identity_chain_match": case.identity_chain_match,
         }
-        _emit_doc(doc, args.out)
-        return EXIT_OK
+        return doc, True
     doc = serialize_certificate(cert)
     if args.gap_observable:
         phi = parse_pl_observable(_load_document(args.gap_observable))
         doc["separation_gap"] = format_rational(separation_gap(cert, phi))
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, True
 
 
-def _cmd_circle_verify(args) -> int:
+def _cmd_circle_verify(args):
     cert = parse_certificate(_load_document(args.cert))
     delta = parse_rational(args.delta) if args.delta else None
     result = verify_certificate(cert, delta, q_max=args.q_max)
-    _emit_doc({"ok": result.ok, "violations": list(result.violations)}, args.out)
-    return EXIT_OK if result.ok else EXIT_VIOLATION
+    return {"ok": result.ok, "violations": list(result.violations)}, result.ok
 
 
-def _cmd_interval_certify(args) -> int:
+def _cmd_interval_certify(args):
     document = _load_document(args.map)
     try:
         cert = interval_pipeline(document, parse_rational(args.delta), n_max=args.n_max)
     except AllFixed as exc:
-        _emit_doc(exc.report, args.out)
-        return EXIT_OK
-    _emit_doc(serialize_certificate(cert), args.out)
-    return EXIT_OK
+        return exc.report, True
+    return serialize_certificate(cert), True
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args):
     report = _load_document(args.report)
-    _emit(plot(report), args.out)
-    return EXIT_OK
+    return plot(report), True
 
 
 # --- parser wiring ---------------------------------------------------------------
@@ -489,7 +457,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, passed = args.func(args)
+        text = doc if isinstance(doc, str) else render_report(doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK if passed else EXIT_VIOLATION
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

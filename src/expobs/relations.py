@@ -300,7 +300,8 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
     lengths), and each system caches its powers under that key: every level
     and observable asking for one power share one system, so its pair cycles
     are walked once.  The key of f itself returns the system.  A power takes
-    the system's `int_metric` object, since its metric is the same.
+    the system's `int_metric` object and its `_distances` dict, since its
+    metric is the same.
     """
     if k == 0:
         raise ValueError("power_system needs k != 0")
@@ -317,6 +318,7 @@ def power_system(system: FiniteSystem, k: int) -> FiniteSystem:
             for pos, i in enumerate(cycle):
                 perm[i] = cycle[(pos + shift) % len(cycle)]
         power = FiniteSystem(system.points, system.int_metric, tuple(perm))
+        power.__dict__["_distances"] = system._distances
         system._powers[key] = power
     return power
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .exact import GR_I, GR_ONE, GR_ZERO, GaussianRational
-from .model import FiniteSystem, Observable
+from .model import FiniteSystem, Observable, _levels
 
 # Small palette on purpose: collisions create the level-set structure the
 # delta-star laws act on.
@@ -21,8 +21,8 @@ PALETTE = (
     GaussianRational.of(1, 1),
     GaussianRational.of(Fraction(1, 2)),
 )
-# PALETTE as the int pairs of `Observable.levels` over the scale 2.
-PALETTE_INTS = ((0, 0), (2, 0), (0, 2), (2, 2), (1, 0))
+# PALETTE as the int pairs of `Observable.levels` over one scale.
+_, PALETTE_INTS, PALETTE_SCALE = _levels(PALETTE)
 
 
 def random_metric(rng: random.Random, n: int) -> list:
@@ -57,7 +57,7 @@ def random_system(rng: random.Random, min_points: int = 2, max_points: int = 12)
 
 def random_observable(rng: random.Random, system: FiniteSystem) -> Observable:
     ids = [rng.randrange(len(PALETTE)) for _ in system.points]
-    return Observable._from_classes(system.points, ids, PALETTE_INTS, 2)
+    return Observable._from_classes(system.points, ids, PALETTE_INTS, PALETTE_SCALE)
 
 
 def random_scalar(rng: random.Random) -> GaussianRational:

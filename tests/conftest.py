@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,18 @@ def observables_for():
         return [random_observable(rng, system) for _ in range(count)]
 
     return make
+
+
+@pytest.fixture(scope="session")
+def fresh_interpreter():
+    """Runs `python -c code *args` in a new interpreter that imports the
+    package from this source tree, and returns what it prints."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+    def run(code, *args) -> str:
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    return run

@@ -181,14 +181,15 @@ class TestSharedParser:
     """`main` builds its parser once and reuses it, so every call must act as
     it would on a freshly built parser."""
 
-    def test_observable_lists_do_not_leak_between_calls(self, capsys):
+    def test_observable_lists_do_not_leak_between_calls(self, capsys, monkeypatch):
         other = json.dumps({"values": {"a": "0", "b": "1", "c": "0", "d": "1"}})
         one = ["analyze", "--system", L4_DOC, "--observable", SPLIT_OBS, "--seed", "3"]
         two = one + ["--observable", other]
         fresh = {}
-        for argv in (one, two):
-            args = cli.build_parser().parse_args(argv)
-            fresh[tuple(argv)] = (args.func(args), capsys.readouterr().out)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_shared_parser", cli.build_parser)
+            for argv in (one, two):
+                fresh[tuple(argv)] = (main(argv), capsys.readouterr().out)
         assert len(json.loads(fresh[tuple(one)][1])["observables"]) == 1
         assert len(json.loads(fresh[tuple(two)][1])["observables"]) == 2
         for argv in (two, one, two, one):

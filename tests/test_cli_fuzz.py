@@ -144,3 +144,34 @@ def test_any_document_gets_an_exit_code_and_one_error_line(empty_dir, data):
         os.chdir(cwd)
     assert code in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+TAMPERED = dict(BASE_DOCUMENTS["certificate"], probe=["11/48", "14/48"])
+OUTPUT_CASES = [
+    pytest.param(command, args, BASE_DOCUMENTS, 0, id=" ".join(command))
+    for command, args in COMMANDS
+] + [
+    pytest.param(("circle", "verify"), [("--cert", "certificate")],
+                 dict(BASE_DOCUMENTS, certificate=TAMPERED), 2, id="circle verify tampered")
+]
+
+
+@pytest.mark.parametrize("command, args, documents, exit_code", OUTPUT_CASES)
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, command, args, documents, exit_code):
+    """Every command writes one text: `--out FILE` gets the bytes stdout
+    shows without it, with the same exit code and nothing on stderr."""
+    argv = list(command) + [
+        f"{flag}={json.dumps(documents[kind]) if kind in documents else kind}"
+        for flag, kind in args
+    ]
+    path = tmp_path / "out.txt"
+    runs = []
+    for extra in ([], ["--out", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + extra)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    (code, printed, err), written = runs
+    assert code == exit_code and printed and err == ""
+    assert written == (exit_code, "", "")
+    assert path.read_bytes() == printed.encode("utf-8")

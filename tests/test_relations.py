@@ -354,8 +354,11 @@ class TestPowersAndPeriodicLevels:
                         p for i, p in enumerate(system.points) if perm[i] == i
                     )
                 assert power.int_metric is system.int_metric
+                assert power._distances is system._distances
                 fresh = FiniteSystem(system.points, system.int_metric, power.perm)
                 assert power.orbit_cycles == fresh.orbit_cycles
+                shared = {id(d) for d in system._distances.values()}
+                assert all(id(d) in shared for d, _ in power.orbit_cycles)
                 for phi in observables:
                     assert delta_star(power, phi) == delta_star(fresh, phi)
             with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import gc
+import json
 import random
 import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -501,3 +503,37 @@ class TestPackageNamespace:
         assert "shift" in expobs.__all__
         assert expobs.shift.enumerate_points is enumerate_points
         assert expobs.shift.shift is shift
+
+    @staticmethod
+    def loaded_by(fresh_interpreter, module) -> set:
+        """The package's modules a fresh interpreter holds after importing
+        one of them."""
+        return set(fresh_interpreter(
+            f"import sys, expobs.{module}; "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'expobs'))"
+        ).split())
+
+    def test_model_loads_only_what_it_imports(self, fresh_interpreter):
+        assert self.loaded_by(fresh_interpreter, "model") == {
+            "expobs", "expobs.errors", "expobs.exact", "expobs.model"
+        }
+
+    @pytest.mark.parametrize("module, unrelated", [
+        ("algebra", ("circle", "shift", "cli", "svg", "report", "library")),
+        ("shift", ("relations", "algebra", "circle")),
+        ("circle", ("shift", "algebra", "cli")),
+    ])
+    def test_a_module_loads_no_unrelated_layer(self, fresh_interpreter, module, unrelated):
+        loaded = self.loaded_by(fresh_interpreter, module)
+        assert f"expobs.{module}" in loaded
+        assert loaded.isdisjoint(f"expobs.{name}" for name in unrelated)
+
+    def test_star_import_binds_every_submodule(self, fresh_interpreter):
+        bound = json.loads(fresh_interpreter(
+            "import json, sys; from expobs import *; import expobs; "
+            "print(json.dumps({n: globals()[n] is sys.modules['expobs.' + n] "
+            "for n in expobs.__all__}))"
+        ))
+        package = Path(shift_module.__file__).parent
+        modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+        assert bound == dict.fromkeys(modules, True)
