@@ -8,13 +8,16 @@ whose iterates stay below a requested diameter for every integer time: the
 finite trace covers |n| <= N and an affine contraction span at both ends
 guarantees the infinite tails.
 
-A PL function's affine pieces are derived from its node lists in one place,
-`_pieces`: y = slopes[i] * x + offsets[i] on [xs[i], xs[i + 1]].  A lift
-caches that table once over its nodes closed by (1, F(0) + 1), and every
-reader takes its pieces from there: F and its inverse by a bisection on the
-nodes or on the values, affine spans by the piece holding the span's start,
-periodic points by solving each piece.  Certification composes the power
-F^q once; replay never composes, it iterates F q times (`IteratedPower`).
+A lift caches one int form of its nodes closed by (1, F(0) + 1): the
+breakpoints as ints X over their lcm D, the values as ints Y over their lcm
+E, and each affine piece as ints (sn, on, d), y = (sn * x + on) / d.  Every
+reader works on those ints and builds one `Fraction` per result: F and its
+inverse by a bisection of the int key floor(r * D) or floor(r * E) on X or
+Y, affine spans by the piece holding the span's start, periodic points by
+solving each piece, the rotation search by the displacement range over D * E.
+Certification composes the power F^q once, ordering its nodes as ints;
+replay never composes, it iterates F q times on ratios of ints
+(`IteratedPower`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     AllFixed,
@@ -55,15 +58,22 @@ DEFAULT_N_MAX = 100_000
 _MAX_HALVINGS = 512
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _over_lcm(fracs):
+    """(ints, scale): the rationals as ints over the lcm of their denominators."""
+    scale = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (scale // f.denominator) for f in fracs), scale
 
 
-def _pieces(xs, ys):
-    """(slopes, offsets) of the PL function through the nodes (xs[i], ys[i]),
-    xs strictly increasing: y = slopes[i] * x + offsets[i] on [xs[i], xs[i + 1]]."""
-    slopes = tuple((y2 - y1) / (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]))
-    return slopes, tuple(y - s * x for x, y, s in zip(xs, ys, slopes))
+def _int_pieces(X, D, Y, E):
+    """(sn, on, d) for each piece, in lowest terms: y = (sn * x + on) / d
+    on [X[i] / D, X[i + 1] / D]."""
+    pieces = []
+    for x1, x2, y1, y2 in zip(X, X[1:], Y, Y[1:]):
+        dx, dy = x2 - x1, y2 - y1
+        sn, on, d = dy * D, y1 * dx - dy * x1, E * dx
+        g = gcd(sn, on, d)
+        pieces.append((sn // g, on // g, d // g))
+    return tuple(pieces)
 
 
 # --- circle lifts -------------------------------------------------------------
@@ -82,59 +92,85 @@ class PLCircleMap:
         vs = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(bs) != len(vs) or not bs:
             raise InvalidDocument("breakpoints and lift values must pair up")
-        if bs[0] != 0:
+        X, D = _over_lcm(bs)
+        return cls._checked(bs, vs, X + (D,), D)
+
+    @classmethod
+    def _checked(cls, bs, vs, X, D) -> "PLCircleMap":
+        """The map through (bs, vs), whose breakpoints closed by 1 are the
+        ints X over D, after every check of `build`."""
+        Y, E = _over_lcm(vs)
+        Y += (Y[0] + E,)
+        if X[0] != 0:
             raise InvalidDocument("breakpoints must start at 0")
-        if any(not 0 <= b < 1 for b in bs):
+        if any(not 0 <= x < D for x in X[:-1]):
             raise InvalidDocument("breakpoints must lie in [0, 1)")
-        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+        if any(x2 <= x1 for x1, x2 in zip(X, X[1:])):
             raise InvalidDocument("breakpoints must be strictly increasing")
-        if any(v2 <= v1 for v1, v2 in zip(vs, vs[1:])) or vs[-1] >= vs[0] + 1:
+        if any(y2 <= y1 for y1, y2 in zip(Y, Y[1:])):
             raise InvalidDocument("lift values must increase strictly with slope > 0")
-        return cls(bs, vs)
+        return cls._with_form(bs, vs, (X, D, Y, E, _int_pieces(X, D, Y, E)))
+
+    @classmethod
+    def _with_form(cls, bs, vs, form) -> "PLCircleMap":
+        mapping = cls(bs, vs)
+        mapping.__dict__["int_form"] = form
+        return mapping
 
     @cached_property
-    def segments(self):
-        """(xs, ys, slopes, offsets): the breakpoints and lift values closed by
-        (1, F(0) + 1), and the `_pieces` table over them."""
-        xs = self.breakpoints + (Fraction(1),)
-        ys = self.values + (self.values[0] + 1,)
-        return (xs, ys, *_pieces(xs, ys))
+    def int_form(self):
+        """(X, D, Y, E, pieces): the breakpoints closed by 1 as ints X over
+        their lcm D, the lift values closed by F(0) + 1 as ints Y over their
+        lcm E, and the `_int_pieces` between them.  `build` sets it; a map
+        made by the bare constructor gets it from `build`."""
+        return PLCircleMap.build(self.breakpoints, self.values).int_form
 
     def eval_lift(self, x: Fraction) -> Fraction:
         if type(x) is not Fraction:
             x = Fraction(x)
-        n = _floor(x)
-        r = x - n if n else x
-        xs, _, slopes, offsets = self.segments
-        i = bisect_right(xs, r) - 1
-        y = slopes[i] * r + offsets[i]
-        return y + n if n else y
+        return Fraction(*self._image(x.numerator, x.denominator))
 
     def inverse_lift(self, y: Fraction) -> Fraction:
         if type(y) is not Fraction:
             y = Fraction(y)
-        _, ys, slopes, offsets = self.segments
-        k = _floor(y - ys[0])   # y - k lies in [F(0), F(0) + 1)
-        yr = y - k if k else y
-        i = bisect_right(ys, yr) - 1
-        x = (yr - offsets[i]) / slopes[i]
-        return x + k if k else x
+        return Fraction(*self._preimage(y.numerator, y.denominator))
+
+    def _image(self, a: int, b: int):
+        """F(a / b), b > 0, as a ratio of ints (not in lowest terms).  Every
+        node is an int over D, so r / b >= X[i] / D iff r * D // b >= X[i]."""
+        X, D, _, _, pieces = self.int_form
+        n = a // b
+        r = a - n * b   # a / b - n = r / b lies in [0, 1)
+        sn, on, d = pieces[bisect_right(X, r * D // b) - 1]
+        return sn * r + (on + n * d) * b, d * b
+
+    def _preimage(self, a: int, b: int):
+        """F^-1(a / b), b > 0, as a ratio of ints, by the same bisection on
+        the values."""
+        _, _, Y, E, pieces = self.int_form
+        k = (a * E - Y[0] * b) // (b * E)   # a / b - k lies in [F(0), F(0) + 1)
+        r = a - k * b
+        sn, on, d = pieces[bisect_right(Y, r * E // b) - 1]
+        return d * r + (k * sn - on) * b, sn * b
 
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
-        """Slope of the map on [lo, hi] if it is affine there, else None.
-
-        Affine means no lift node strictly inside (lo, hi).  The first node
-        after lo is the right end xs[i + 1] + n of the piece holding lo, as
-        xs closes with 1 = 0 + 1.
-        """
+        """Slope of the map on [lo, hi] if it is affine there, else None."""
         if hi < lo:
             lo, hi = hi, lo
         if lo == hi:
             return None
-        n = _floor(lo)
-        xs, _, slopes, _ = self.segments
-        i = bisect_right(xs, lo - n) - 1
-        return slopes[i] if hi - n <= xs[i + 1] else None
+        piece = self._piece_holding(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        return None if piece is None else Fraction(piece[0], piece[2])
+
+    def _piece_holding(self, a: int, b: int, c: int, e: int):
+        """The piece (sn, on, d) holding [a / b, c / e], a / b < c / e, if no
+        lift node lies strictly inside, else None.  The first node after
+        a / b is the right end X[i + 1] / D + n of the piece holding it, as X
+        closes with D, i.e. 1 = 0 + 1."""
+        X, D, _, _, pieces = self.int_form
+        n = a // b
+        i = bisect_right(X, (a - n * b) * D // b) - 1
+        return pieces[i] if (c - n * e) * D <= X[i + 1] * e else None
 
 
 def compose_circle(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
@@ -145,15 +181,24 @@ def compose_circle(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
     outer is interpolated there.  A pulled-back node is x - n with
     inner(x) = b_j and n = floor(x), so only inner's inverse is interpolated;
     its value outer(b_j - n) = outer.values[j] - n is read.  Where both kinds
-    of node coincide the two values are equal.
+    of node coincide the two values are equal.  Nodes are ordered and
+    merged as ints over the lcm of their denominators.
     """
-    nodes = {a: outer.eval_lift(v) for a, v in zip(inner.breakpoints, inner.values)}
+    pulled = []
     for b, v in zip(outer.breakpoints, outer.values):
         x = inner.inverse_lift(b)
-        n = _floor(x)
-        nodes[x - n] = v - n
-    bs = sorted(nodes)
-    return PLCircleMap.build(bs, [nodes[b] for b in bs])
+        a, c = x.numerator, x.denominator
+        n = a // c
+        pulled.append((a - n * c, c, v - n))
+    X, D, _, _, _ = inner.int_form
+    scale = lcm(D, *[c for _, c, _ in pulled])
+    nodes = {x * (scale // D): (a, outer.eval_lift(v))
+             for x, a, v in zip(X, inner.breakpoints, inner.values)}
+    for r, c, v in pulled:
+        nodes[r * (scale // c)] = (Fraction(r, c), v)
+    keys = sorted(nodes)
+    bs, vs = zip(*[nodes[k] for k in keys])
+    return PLCircleMap._checked(bs, vs, (*keys, scale), scale)
 
 
 def circle_power(base: PLCircleMap, q: int) -> PLCircleMap:
@@ -166,7 +211,13 @@ def circle_power(base: PLCircleMap, q: int) -> PLCircleMap:
 
 
 def shift_values(mapping: PLCircleMap, p: int) -> PLCircleMap:
-    return PLCircleMap(mapping.breakpoints, tuple(v - p for v in mapping.values))
+    """F - p, with its int form read off F's: the values move by p·E and
+    each piece's offset by p·d."""
+    X, D, Y, E, pieces = mapping.int_form
+    form = (X, D, tuple(y - p * E for y in Y), E,
+            tuple((sn, on - p * d, d) for sn, on, d in pieces))
+    return PLCircleMap._with_form(mapping.breakpoints,
+                                  tuple(v - p for v in mapping.values), form)
 
 
 class IteratedPower:
@@ -174,7 +225,8 @@ class IteratedPower:
     spans of `shift_values(circle_power(base, q), p)`, with no composition.
     `compose_circle` keeps every pulled-back node, so F^q is affine on
     [lo, hi] exactly when F is affine on each F^i([lo, hi]), i < q, and its
-    slope there is the product of theirs."""
+    slope there is the product of theirs.  Each base step maps a ratio of
+    ints, so one `Fraction` is built per result."""
 
     def __init__(self, base: PLCircleMap, q: int, p: int):
         if q < 1:
@@ -182,27 +234,37 @@ class IteratedPower:
         self.base, self.q, self.p = base, q, p
 
     def eval_lift(self, x: Fraction) -> Fraction:
-        step = self.base.eval_lift
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        step = self.base._image
         for _ in range(self.q):
-            x = step(x)
-        return x - self.p
+            a, b = step(a, b)
+        return Fraction(a - self.p * b, b)
 
     def inverse_lift(self, y: Fraction) -> Fraction:
-        y += self.p
-        step = self.base.inverse_lift
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        a, b = y.numerator + self.p * y.denominator, y.denominator
+        step = self.base._preimage
         for _ in range(self.q):
-            y = step(y)
-        return y
+            a, b = step(a, b)
+        return Fraction(a, b)
 
     def affine_span_slope(self, lo: Fraction, hi: Fraction):
-        base, product = self.base, 1
+        if hi < lo:
+            lo, hi = hi, lo
+        if lo == hi:
+            return None
+        a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        base, num, den = self.base, 1, 1
         for _ in range(self.q):
-            slope = base.affine_span_slope(lo, hi)
-            if slope is None:
+            piece = base._piece_holding(a, b, c, e)
+            if piece is None:
                 return None
-            product *= slope
-            lo, hi = base.eval_lift(lo), base.eval_lift(hi)
-        return product
+            num, den = num * piece[0], den * piece[2]
+            (a, b), (c, e) = base._image(a, b), base._image(c, e)
+        return Fraction(num, den)
 
 
 def parse_circle_map(document) -> PLCircleMap:
@@ -240,10 +302,12 @@ def _rotation(mapping: PLCircleMap, q_max: int):
         raise ValueError("q_max must be >= 1")
     power = mapping
     for q in range(1, q_max + 1):
-        disp = [v - b for b, v in zip(power.breakpoints, power.values)]
+        X, D, Y, E, _ = power.int_form
+        scale = D * E
+        disp = [y * D - x * E for x, y in zip(X, Y)]   # (F^q(x) - x) * scale
         lo, hi = min(disp), max(disp)
-        p_lo = -((-lo.numerator) // lo.denominator)  # ceil(lo)
-        if p_lo <= hi:
+        p_lo = -(-lo // scale)   # ceil(lo / scale)
+        if p_lo * scale <= hi:
             if gcd(p_lo, q) != 1:
                 raise InvariantViolation(
                     f"rotation number {p_lo}/{q} is not reduced: "
@@ -269,15 +333,18 @@ def periodic_points(mapping: PLCircleMap, p: int, q: int):
 
 def _periodic_blocks(power: PLCircleMap, p: int, q: int):
     """`periodic_points` with the lift power F^q already composed."""
-    xs, _, slopes, offsets = power.segments
+    X, D, _, _, int_pieces = power.int_form
+    xs = power.breakpoints + (Fraction(1),)
     pieces = []
-    for x1, x2, slope, offset in zip(xs, xs[1:], slopes, offsets):
-        if slope == 1:
-            if offset == p:
-                pieces.append([x1, x2])
+    for i, (sn, on, d) in enumerate(int_pieces):
+        if sn == d:   # slope 1: a block when the offset is p
+            if on == p * d:
+                pieces.append([xs[i], xs[i + 1]])
         else:
-            root = (p - offset) / (slope - 1)
-            if x1 <= root <= x2 and root < 1:
+            # the root (p - offset) / (slope - 1), in [xs[i], xs[i + 1]] and < 1
+            rn, rd = (p * d - on, sn - d) if sn > d else (on - p * d, d - sn)
+            if X[i] * rd <= rn * D <= X[i + 1] * rd and rn < rd:
+                root = Fraction(rn, rd)
                 pieces.append([root, root])
     if not pieces:
         raise InconsistentRotationNumber(f"no solutions of F^{q}(x) = x + {p}")
@@ -663,8 +730,11 @@ class PLObservable:
 
     @cached_property
     def pieces(self):
-        """(slopes, offsets): the `_pieces` table over the breakpoints."""
-        return _pieces(self.breakpoints, self.values)
+        """(slopes, offsets): y = slopes[i] * x + offsets[i] on
+        [breakpoints[i], breakpoints[i + 1]]."""
+        xs, ys = self.breakpoints, self.values
+        slopes = tuple((y2 - y1) / (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]))
+        return slopes, tuple(y - s * x for x, y, s in zip(xs, ys, slopes))
 
     def eval(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -840,11 +910,15 @@ def _base_slope_bound(cert: Certificate) -> Fraction:
     """Lipschitz constant of the base map (max |slope| over its pieces); an
     interval document may be decreasing."""
     if cert.space == "circle":
-        slopes = parse_circle_map(cert.map_document).segments[2]
+        X, D, Y, E, _ = parse_circle_map(cert.map_document).int_form
     else:
-        slopes, _ = _pieces(_rational_list(cert.map_document, "breakpoints"),
-                            _rational_list(cert.map_document, "values"))
-    return max(map(abs, slopes))
+        X, D = _over_lcm(_rational_list(cert.map_document, "breakpoints"))
+        Y, E = _over_lcm(_rational_list(cert.map_document, "values"))
+    rise, run = 0, 1
+    for x1, x2, y1, y2 in zip(X, X[1:], Y, Y[1:]):
+        if abs(y2 - y1) * run > rise * (x2 - x1):
+            rise, run = abs(y2 - y1), x2 - x1
+    return Fraction(rise * D, run * E)
 
 
 def serialize_certificate(cert: Certificate) -> dict:

@@ -140,7 +140,7 @@ def _cmd_conjugacy(args):
     mapping = _as_dict(_load_document(args.map))
     conj = Conjugacy.build(source, target, mapping)
     observables = [
-        parse_observable(_load_document(doc), source) for doc in args.observable
+        parse_observable(_load_document(doc), target) for doc in args.observable
     ] or None
     report = conjugacy_invariance_report(
         conj, observables, seed=args.seed, samples=args.samples

@@ -56,7 +56,18 @@ def random_system(rng: random.Random, min_points: int = 2, max_points: int = 12)
 
 
 def random_observable(rng: random.Random, system: FiniteSystem) -> Observable:
-    ids = [rng.randrange(len(PALETTE)) for _ in system.points]
+    """Each point's palette class is drawn as `rng.randrange(len(PALETTE))`
+    draws it, getrandbits(k) with k = len(PALETTE).bit_length() redrawn
+    until it is below len(PALETTE): the same random stream, without the
+    per-call overhead of `randrange`."""
+    size, draw = len(PALETTE), rng.getrandbits
+    bits = size.bit_length()
+    ids = []
+    for _ in system.points:
+        c = draw(bits)
+        while c >= size:
+            c = draw(bits)
+        ids.append(c)
     return Observable._from_classes(system.points, ids, PALETTE_INTS, PALETTE_SCALE)
 
 

@@ -514,3 +514,55 @@ def brute_compose(outer: PLCircleMap, inner: PLCircleMap) -> PLCircleMap:
         breaks.add(x - math.floor(x))
     bs = sorted(breaks)
     return PLCircleMap.build(bs, [outer.eval_lift(inner.eval_lift(b)) for b in bs])
+
+
+def brute_power(mapping: PLCircleMap, q: int) -> PLCircleMap:
+    """F^q as q - 1 `brute_compose` steps."""
+    power = mapping
+    for _ in range(q - 1):
+        power = brute_compose(mapping, power)
+    return power
+
+
+def brute_rotation_number(mapping: PLCircleMap, q_max: int):
+    """p/q for the least q <= q_max such that F^q(x) = x + p has a solution
+    for an integer p, else None.  F^q - id is PL, so its range over [0, 1]
+    is spanned by its values at the nodes of `brute_compose`'s powers."""
+    power = mapping
+    for q in range(1, q_max + 1):
+        xs, ys = lift_nodes(power)
+        moved = [y - x for x, y in zip(xs, ys)]
+        p = math.ceil(min(moved))
+        if p <= max(moved):
+            return Fraction(p, q)
+        power = brute_compose(mapping, power)
+    return None
+
+
+def brute_periodic_points(mapping: PLCircleMap, p: int, q: int):
+    """(blocks, full) of F^q(x) = x + p on [0, 1), from the sign of
+    F^q(x) - x - p at the nodes of `brute_power`: a piece where it vanishes
+    at both ends is a block, one where it changes sign holds one root.
+    Touching blocks merge, and a block ending at 1 joins one starting at 0."""
+    xs, ys = lift_nodes(brute_power(mapping, q))
+    found = []
+    for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]):
+        d1, d2 = y1 - x1 - p, y2 - x2 - p
+        if d1 == d2 == 0:
+            found.append((x1, x2))
+        elif d1 * d2 <= 0:
+            root = x1 + d1 * (x2 - x1) / (d1 - d2)
+            if root < 1:
+                found.append((root, root))
+    blocks = []
+    for lo, hi in sorted(found):
+        if blocks and lo <= blocks[-1][1]:
+            blocks[-1] = (blocks[-1][0], max(blocks[-1][1], hi))
+        else:
+            blocks.append((lo, hi))
+    if blocks == [(0, 1)]:
+        return tuple(blocks), True
+    if len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == 1:
+        first = blocks.pop(0)
+        blocks[-1] = (blocks[-1][0], first[1] + 1)
+    return tuple(blocks), False

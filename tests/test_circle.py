@@ -53,6 +53,9 @@ from expobs.library import (
 )
 from oracles import (
     brute_compose,
+    brute_periodic_points,
+    brute_power,
+    brute_rotation_number,
     conjugate_by_rotation,
     interp,
     interp_lift,
@@ -173,15 +176,19 @@ class TestPLCircleMap:
                 assert mapping.inverse_lift(y) == scan_inverse_lift(mapping, y)
                 assert mapping.eval_lift(mapping.inverse_lift(y)) == y
 
-    def test_segments_close_the_lift_and_are_kept(self, m0, plateau):
+    def test_int_form_closes_the_lift_and_is_kept(self, m0, plateau):
         for mapping in [m0, plateau] + oracle_maps():
-            xs, ys, slopes, offsets = mapping.segments
+            X, D, Y, E, pieces = mapping.int_form
+            xs = tuple(Fraction(x, D) for x in X)
+            ys = tuple(Fraction(y, E) for y in Y)
             assert (xs, ys) == lift_nodes(mapping)
+            slopes = [Fraction(sn, d) for sn, _, d in pieces]
+            offsets = [Fraction(on, d) for _, on, d in pieces]
             assert len(slopes) == len(offsets) == len(xs) - 1
             for i, (s, c) in enumerate(zip(slopes, offsets)):
                 assert s * xs[i] + c == ys[i]
                 assert s * xs[i + 1] + c == ys[i + 1]
-        assert plateau.segments is plateau.segments
+        assert plateau.int_form is plateau.int_form
 
     def test_build_rejects_bad_documents(self):
         with pytest.raises(InvalidDocument):
@@ -243,6 +250,7 @@ class TestLiftInputs:
         ([0, Fraction(1, 2), "1/4"], [0, 1, 2], "breakpoints must be strictly increasing"),
         ([0, "1/2"], ["1/2", 0], "lift values must increase strictly with slope > 0"),
         ([Fraction(0), "1/2"], [0, 1], "lift values must increase strictly with slope > 0"),
+        ([0, "1/2", "1/2"], [0, "1/4", "1/2"], "breakpoints must be strictly increasing"),
     ])
     def test_build_keeps_every_check(self, bs, vs, message):
         with pytest.raises(InvalidDocument) as info:
@@ -525,6 +533,97 @@ class TestIteratedPower:
         with pytest.raises(HorizonExceeded, match="certificate q = 4 exceeds q_max = 3"):
             verify_certificate(cert, q_max=3)
         assert calls == []
+
+
+# Primes near 10^6: nodes over distinct ones have pairwise coprime
+# denominators, so the int scales D and E are their products.
+PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907,
+          999883, 999863, 999853, 999809, 999773, 999769, 999763, 999749)
+
+
+@st.composite
+def coprime_lifts(draw):
+    """A lift with 1-5 breakpoints, F(0) with floor in -3..3, and every
+    breakpoint, value increment and F(0) over its own prime."""
+    k = draw(st.integers(1, 5))
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def cuts(count):
+        return sorted(Fraction(draw(st.integers(1, d - 1)), d)
+                      for d in [next(primes) for _ in range(count)])
+
+    bs, rises = [Fraction(0)] + cuts(k - 1), cuts(k - 1)
+    d = next(primes)
+    start = Fraction(draw(st.integers(-3 * d, 4 * d - 1)), d)
+    return PLCircleMap.build(bs, [start] + [start + c for c in rises])
+
+
+def probe_points(draw, nodes):
+    """Nodes and drawn points, each shifted to a floor in -3..3."""
+    picks = [draw(st.sampled_from(nodes)) for _ in range(3)]
+    picks += [Fraction(draw(st.integers(0, d - 1)), d)
+              for d in draw(st.lists(st.sampled_from(PRIMES + (96,)), min_size=3, max_size=3))]
+    return [r - r.numerator // r.denominator + draw(st.integers(-3, 3)) for r in picks]
+
+
+class TestIntReaders:
+    """The int readers against the interpolating references in `oracles`,
+    on lifts with large coprime denominators, their composed powers and
+    `IteratedPower`, at points with floor -3..3."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_lift_and_composed_power(self, data):
+        base = data.draw(coprime_lifts())
+        mapping = circle_power(base, data.draw(st.integers(1, 3)))
+        xs = probe_points(data.draw, mapping.breakpoints)
+        ys = probe_points(data.draw, mapping.values)
+        for x in xs:
+            assert mapping.eval_lift(x) == interp_lift(mapping, x)
+        for y in ys + xs:
+            assert mapping.inverse_lift(y) == scan_inverse_lift(mapping, y)
+        for lo, hi in zip(xs, xs[1:] + xs[:1]):
+            assert mapping.affine_span_slope(lo, hi) == scan_affine_span_slope(mapping, lo, hi)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_iterated_power(self, data):
+        base = data.draw(coprime_lifts())
+        q, p = data.draw(st.integers(1, 3)), data.draw(st.integers(-2, 2))
+        iterated = IteratedPower(base, q, p)
+        power = brute_power(base, q)
+        shifted = PLCircleMap.build(power.breakpoints, [v - p for v in power.values])
+        xs = probe_points(data.draw, power.breakpoints)
+        for x in xs:
+            y = x
+            for _ in range(q):
+                y = interp_lift(base, y)
+            assert iterated.eval_lift(x) == y - p
+            back = x + p
+            for _ in range(q):
+                back = scan_inverse_lift(base, back)
+            assert iterated.inverse_lift(x) == back
+        for lo, hi in zip(xs, xs[1:] + xs[:1]):
+            assert iterated.affine_span_slope(lo, hi) == scan_affine_span_slope(shifted, lo, hi)
+
+    def test_rotation_number_and_periodic_points_match_brute_compose(self):
+        # Rotation numbers 1 and -1, and a first piece that translates by 1/2
+        # and by -1/2: a translation by p/2 is no block of F(x) = x + p.
+        translations = [
+            PLCircleMap.build([0, "1/8", "1/4", "1/2"], ["1/2", "5/8", "5/4", "11/8"]),
+            PLCircleMap.build([0, "1/8", "3/4"], ["-1/2", "-3/8", "-1/4"]),
+        ]
+        found = 0
+        for mapping in translations + oracle_maps() + random_lifts(30, seed=71):
+            rho = brute_rotation_number(mapping, 12)
+            for q_max in range(1, 13):
+                expected = rho if rho is not None and rho.denominator <= q_max else None
+                assert rotation_number(mapping, q_max) == expected
+            if rho is not None:
+                found += 1
+                p, q = rho.numerator, rho.denominator
+                assert periodic_points(mapping, p, q) == brute_periodic_points(mapping, p, q)
+        assert found >= 60
 
 
 class TestCertify:

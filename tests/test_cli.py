@@ -10,6 +10,7 @@ import expobs
 from expobs import circle, cli
 from expobs.cli import main
 from expobs.errors import InvariantViolation
+from expobs.exact import format_extended
 from expobs.library import (
     m0_circle_document,
     quarter_turn_circle_document,
@@ -17,6 +18,8 @@ from expobs.library import (
     rigid_rotation_document,
     valley_interval_document,
 )
+from expobs.model import parse_observable, parse_system
+from oracles import brute_delta_star
 
 L4_DOC = json.dumps(
     {
@@ -311,6 +314,59 @@ class TestHostileConjugacyMaps:
         assert_one_error_line(*run(
             capsys, "conjugacy", "--source", L4_DOC, "--target", L4_DOC,
             "--map", json.dumps(mapping),
+        ))
+
+
+def relabelled(system_doc: dict, names: dict) -> dict:
+    """The system with each point p renamed names[p], listed in reverse."""
+    points = system_doc["points"]
+    order = points[::-1]
+    row = {p: dict(zip(points, system_doc["metric"][i])) for i, p in enumerate(points)}
+    return {
+        "points": [names[p] for p in order],
+        "metric": [[row[p][q] for q in order] for p in order],
+        "map": {names[p]: names[image] for p, image in system_doc["map"].items()},
+    }
+
+
+class TestConjugacyObservables:
+    """`conjugacy --observable` reads each observable on the target: the
+    report takes its delta* on the target and pulls it back along h."""
+
+    NAMES = {"0": "a", "1": "b", "2": "c", "3": "d"}
+
+    def documents(self, observable):
+        source = json.loads((FIXTURES / "line_swap_system.json").read_text())
+        phi = json.loads((FIXTURES / f"{observable}.json").read_text())
+        return source, relabelled(source, self.NAMES), phi
+
+    @pytest.mark.parametrize(
+        "observable", ["line_swap_split_observable", "line_swap_distance_observable"]
+    )
+    def test_observable_on_target_names(self, capsys, observable):
+        source_doc, target_doc, phi_doc = self.documents(observable)
+        on_target = {"values": {self.NAMES[p]: v for p, v in phi_doc["values"].items()}}
+        code, out, err = run(
+            capsys, "conjugacy", "--source", json.dumps(source_doc),
+            "--target", json.dumps(target_doc), "--map", json.dumps(self.NAMES),
+            "--observable", json.dumps(on_target),
+        )
+        assert (code, err) == (0, "")
+        source, target = parse_system(source_doc), parse_system(target_doc)
+        # phi pulled back along h is the fixture observable on the source names.
+        assert json.loads(out)["entries"] == [{
+            "delta_star_target": format_extended(
+                brute_delta_star(target, parse_observable(on_target, target))),
+            "delta_star_source": format_extended(
+                brute_delta_star(source, parse_observable(phi_doc, source))),
+        }]
+
+    def test_observable_on_source_names_exits_one(self, capsys):
+        source_doc, target_doc, phi_doc = self.documents("line_swap_split_observable")
+        assert_one_error_line(*run(
+            capsys, "conjugacy", "--source", json.dumps(source_doc),
+            "--target", json.dumps(target_doc), "--map", json.dumps(self.NAMES),
+            "--observable", json.dumps(phi_doc),
         ))
 
 

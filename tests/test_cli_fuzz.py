@@ -33,6 +33,14 @@ BASE_DOCUMENTS = {
     "system": SYSTEM,
     "observable": {"values": {"a": "0", "b": "0", "c": "1", "d": "1"}},
     "bijection": {"a": "a", "b": "b", "c": "c", "d": "d"},
+    # SYSTEM with a, b, c, d renamed w, x, y, z and listed in reverse.
+    "relabelled_system": {
+        "points": ["z", "y", "x", "w"],
+        "metric": SYSTEM["metric"],
+        "map": {"w": "x", "x": "w", "y": "z", "z": "y"},
+    },
+    "relabelling": {"a": "w", "b": "x", "c": "y", "d": "z"},
+    "target_observable": {"values": {"w": "0", "x": "0", "y": "1", "z": "1"}},
     "point": {"left": "0", "core": "1", "right": "0"},
     "cylinder": {"window": 0, "alphabet": "01", "table": {"0": "0", "1": "1"}},
     "circle": m0_circle_document(),
@@ -56,6 +64,8 @@ COMMANDS = [
     (("conjugacy",), [("--source", "system"), ("--target", "system"),
                       ("--map", "bijection"), ("--observable", "observable"),
                       ("--samples", "2")]),
+    (("conjugacy",), [("--source", "system"), ("--target", "relabelled_system"),
+                      ("--map", "relabelling"), ("--observable", "target_observable")]),
     (("symbolic", "distance"), [("--x", "point"), ("--y", "point")]),
     (("symbolic", "orbit-sup"), [("--x", "point"), ("--y", "point")]),
     (("symbolic", "ball"), [("--x", "point"), ("--y", "point"), ("--epsilon", "1/4")]),
@@ -148,7 +158,8 @@ def test_any_document_gets_an_exit_code_and_one_error_line(empty_dir, data):
 
 TAMPERED = dict(BASE_DOCUMENTS["certificate"], probe=["11/48", "14/48"])
 OUTPUT_CASES = [
-    pytest.param(command, args, BASE_DOCUMENTS, 0, id=" ".join(command))
+    pytest.param(command, args, BASE_DOCUMENTS, 0,
+                 id=" ".join(command) + (" relabelled" if ("--target", "relabelled_system") in args else ""))
     for command, args in COMMANDS
 ] + [
     pytest.param(("circle", "verify"), [("--cert", "certificate")],

@@ -7,14 +7,24 @@ digest; a change meant to alter a report updates its digest on purpose.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from expobs.circle import (
+    certify,
+    interval_pipeline,
+    parse_certificate,
+    parse_circle_map,
+    serialize_certificate,
+    verify_certificate,
+)
 from expobs.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -259,3 +269,28 @@ def test_circle_certify_with_gap_observable(circle, tmp_path):
     argv = ["circle", "certify", "--map", fixture(circle), "--delta", "1/16",
             "--gap-observable", json.dumps(GAP_OBSERVABLE)]
     assert digest_of(argv, tmp_path / "cert.json") == (0, GAP[circle])
+
+
+# The circle and interval certificates of the benchmark's symbolic-certify
+# inputs (`perfbench/generate.py`, seeds 1-3), each serialized, read back
+# from JSON and replayed: one digest over every document and its violations.
+BENCHMARK_CIRCLE_DIGEST = "655b26ebd5d09a05a71f63d0936273d0f9c53b01f85389244360bf163a29085c"
+
+
+def test_benchmark_circle_inputs_round_trip():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", FIXTURES.parent / "perfbench" / "generate.py"
+    )
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for inputs in generate.symbolic_round(seed):
+            for cert in (
+                certify(parse_circle_map(inputs["circle"]), Fraction(inputs["circle_delta"])),
+                interval_pipeline(inputs["interval"], Fraction(inputs["interval_delta"])),
+            ):
+                text = json.dumps(serialize_certificate(cert))
+                report = verify_certificate(parse_certificate(json.loads(text)))
+                digest.update(text.encode() + json.dumps(list(report.violations)).encode())
+    assert digest.hexdigest() == BENCHMARK_CIRCLE_DIGEST

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 from expobs.relations import e_star, omega_map, orbit_distance_table
+from expobs.model import Observable
 from expobs.sampling import (
+    PALETTE,
+    PALETTE_INTS,
+    PALETTE_SCALE,
     corpus,
     random_metric,
     random_observable,
@@ -68,3 +72,14 @@ class TestRandomObservables:
         a = random_observable(random.Random(42), s)
         b = random_observable(random.Random(42), s)
         assert a == b
+
+    def test_classes_are_drawn_as_randrange_draws_them(self):
+        """Same observable and same generator state afterwards as drawing
+        each class with `randrange(len(PALETTE))`."""
+        for seed in range(200):
+            for s in corpus(seed=seed, count=3, max_points=12) + [random_system(random.Random(seed), 1, 1)]:
+                rng, reference = random.Random(seed), random.Random(seed)
+                phi = random_observable(rng, s)
+                ids = [reference.randrange(len(PALETTE)) for _ in s.points]
+                assert phi == Observable._from_classes(s.points, ids, PALETTE_INTS, PALETTE_SCALE)
+                assert rng.getstate() == reference.getstate()
